@@ -1,22 +1,21 @@
 """Columnar trace pipeline speedups, recorded to ``BENCH_trace.json``.
 
-Two measurements, both against the per-instruction reference paths that
-the vectorized kernels replaced (and which remain in-tree as the
-bit-identity oracles):
+Three measurements, each against the per-instruction reference path that
+the vectorized kernels replaced (and which remains in-tree as the
+bit-identity oracle):
 
 * **generation** — ``TraceGenerator.generate_arrays`` vs the
   ``_generate_chunk_reference`` loop, same instruction budget;
-* **leading_kernel** — the windowed issue/retire kernel
-  (``_scan_window``) vs the retained per-row ``_advance`` oracle, same
-  trace and memoized schedule;
+* **leading_kernel** — ``LeadingCoreTiming.run_arrays`` (window
+  pre-pass plus the fused ``_scan_window`` issue/retire kernel, with a
+  memoized schedule) vs the object oracle (``run`` over
+  ``Instruction`` objects: ``schedule`` → ``_advance`` per row), same
+  trace, fresh cores;
 * **fig6 end-to-end** — ``fig6_performance`` on the columnar pipeline vs
   the legacy pipeline (object generation, per-address preload, object
-  scheduling), restored via monkeypatching for the duration of the run;
-* **fig6_simbatch** — the same sweep with each benchmark's chip models
-  stepped as one lockstep ``SimBatch`` (shared per-window prepare
-  statics), gated against the previous PR's committed batched time.
+  scheduling), restored via monkeypatching for the duration of the run.
 
-Both comparisons also assert bit-identical results — the speedup only
+Every comparison also asserts bit-identical results — the speedup only
 counts because nothing changed.
 """
 
@@ -43,9 +42,6 @@ from repro.workloads.profiles import get_profile
 _RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_trace.json"
 _GEN_INSTRUCTIONS = 200_000
 _FIG6_SUBSET = ("gzip", "mcf")
-# The fig6_batched baseline committed before the windowed kernel /
-# SimBatch work landed — the acceptance reference for fig6_simbatch.
-_PREV_BATCHED_S = 1.3806
 
 
 @contextmanager
@@ -124,36 +120,39 @@ def test_trace_kernel_speedups(benchmark):
     assert columnar_trace == TraceArrays.from_instructions(reference_trace)
     generation_speedup = generation_reference_s / generation_columnar_s
 
-    # -- windowed issue/retire kernel vs the scalar oracle ---------------
-    # Same trace, same memoized schedule, fresh cores: the only variable
-    # is the scheduling loop itself (fused `_scan_window` vs per-row
-    # `_advance`), measured over the standard bench window.
+    # -- windowed issue/retire kernel vs the object oracle ---------------
+    # Same trace, fresh cores, interleaved rounds over the standard bench
+    # window.  Both sides include their cache and predictor accesses; the
+    # kernel's schedule is memoized, as in production, and the oracle's
+    # Instruction objects are built outside the timed region.
     kernel_cfg = SystemConfig.for_chip(ChipModel.TWO_D_A)
     kernel_trace = TraceGenerator(profile, seed=42).generate_arrays(
         BENCH_WINDOW.total
     )
     kernel_schedule = build_trace_schedule(kernel_trace, kernel_cfg.leading)
+    object_trace = kernel_trace.to_instructions()
 
-    def _timed_leading_run(force_oracle):
+    def _timed_leading_run(use_oracle):
         memory = MemoryHierarchy(
             kernel_cfg.leading, kernel_cfg.nuca, kernel_cfg.chip
         )
         core = LeadingCoreTiming(
             kernel_cfg.leading, memory, BranchPredictor()
         )
-        if force_oracle:
-            core.kernel_eligible = lambda: False
         start = time.perf_counter()
-        result = core.run_arrays(
-            kernel_trace, BENCH_WINDOW.warmup, schedule=kernel_schedule
-        )
+        if use_oracle:
+            result = core.run(object_trace, BENCH_WINDOW.warmup)
+        else:
+            result = core.run_arrays(
+                kernel_trace, BENCH_WINDOW.warmup, schedule=kernel_schedule
+            )
         return time.perf_counter() - start, result
 
     kernel_s = oracle_s = float("inf")
     for _ in range(3):
-        elapsed, kernel_result = _timed_leading_run(force_oracle=False)
+        elapsed, kernel_result = _timed_leading_run(use_oracle=False)
         kernel_s = min(kernel_s, elapsed)
-        elapsed, oracle_result = _timed_leading_run(force_oracle=True)
+        elapsed, oracle_result = _timed_leading_run(use_oracle=True)
         oracle_s = min(oracle_s, elapsed)
     assert kernel_result == oracle_result
     leading_kernel_speedup = oracle_s / kernel_s
@@ -164,13 +163,13 @@ def test_trace_kernel_speedups(benchmark):
     # round is the least contaminated estimate of the pipeline's cost.
     subset = [get_profile(name) for name in _FIG6_SUBSET]
 
-    def _best_fig6(rounds, **kwargs):
+    def _best_fig6(rounds):
         best_s, rows = float("inf"), None
         for _ in range(rounds):
             memo.clear_cache()
             start = time.perf_counter()
             candidate = fig6_performance(
-                window=BENCH_WINDOW, benchmarks=subset, jobs=1, **kwargs
+                window=BENCH_WINDOW, benchmarks=subset, jobs=1
             )
             elapsed = time.perf_counter() - start
             if elapsed < best_s:
@@ -185,28 +184,6 @@ def test_trace_kernel_speedups(benchmark):
     ]
     fig6_speedup = fig6_legacy_s / fig6_columnar_s
 
-    # -- fig6 batched chunks --------------------------------------------
-    # One oversized chunk groups both benchmarks, so the prepare hook
-    # primes their traces in a single lockstep batch and the memoized
-    # preload plans are shared across all chip models.
-    batched_chunksize = 4 * len(subset)
-    fig6_batched_s, batched_rows = _best_fig6(
-        rounds=3, chunksize=batched_chunksize
-    )
-    assert [dataclasses.asdict(r) for r in batched_rows] == [
-        dataclasses.asdict(r) for r in legacy_rows
-    ]
-    fig6_batched_speedup = fig6_legacy_s / fig6_batched_s
-
-    # -- fig6 lockstep SimBatch -----------------------------------------
-    # Each benchmark's four chip models stepped as one SimBatch, sharing
-    # every window's prepare statics; bit-identical to the per-task path.
-    fig6_simbatch_s, simbatch_rows = _best_fig6(rounds=3, simbatch=True)
-    assert [dataclasses.asdict(r) for r in simbatch_rows] == [
-        dataclasses.asdict(r) for r in legacy_rows
-    ]
-    fig6_simbatch_speedup = fig6_legacy_s / fig6_simbatch_s
-
     print_table(
         "Columnar trace pipeline speedups",
         ["stage", "reference (s)", "columnar (s)", "speedup"],
@@ -214,14 +191,10 @@ def test_trace_kernel_speedups(benchmark):
             ["generation", round(generation_reference_s, 3),
              round(generation_columnar_s, 3),
              f"{generation_speedup:.1f}x"],
-            ["leading kernel", round(oracle_s, 3),
+            ["leading kernel vs object oracle", round(oracle_s, 3),
              round(kernel_s, 3), f"{leading_kernel_speedup:.1f}x"],
             ["fig6 end-to-end", round(fig6_legacy_s, 3),
              round(fig6_columnar_s, 3), f"{fig6_speedup:.1f}x"],
-            ["fig6 batched chunks", round(fig6_legacy_s, 3),
-             round(fig6_batched_s, 3), f"{fig6_batched_speedup:.1f}x"],
-            ["fig6 simbatch", round(fig6_legacy_s, 3),
-             round(fig6_simbatch_s, 3), f"{fig6_simbatch_speedup:.1f}x"],
         ],
     )
 
@@ -240,30 +213,13 @@ def test_trace_kernel_speedups(benchmark):
             "columnar_s": round(fig6_columnar_s, 4),
             "speedup": round(fig6_speedup, 2),
         },
-        "fig6_batched": {
-            "benchmarks": list(_FIG6_SUBSET),
-            "warmup": BENCH_WINDOW.warmup,
-            "measured": BENCH_WINDOW.measured,
-            "chunksize": batched_chunksize,
-            "batched_s": round(fig6_batched_s, 4),
-            "speedup_vs_legacy": round(fig6_batched_speedup, 2),
-        },
         "leading_kernel": {
             "instructions": BENCH_WINDOW.total,
             "warmup": BENCH_WINDOW.warmup,
+            "oracle": "object",
             "oracle_s": round(oracle_s, 4),
             "kernel_s": round(kernel_s, 4),
             "speedup": round(leading_kernel_speedup, 2),
-        },
-        "fig6_simbatch": {
-            "benchmarks": list(_FIG6_SUBSET),
-            "warmup": BENCH_WINDOW.warmup,
-            "measured": BENCH_WINDOW.measured,
-            "simbatch_s": round(fig6_simbatch_s, 4),
-            "speedup_vs_legacy": round(fig6_simbatch_speedup, 2),
-            "speedup_vs_prev_batched": round(
-                _PREV_BATCHED_S / fig6_simbatch_s, 2
-            ),
         },
     }, indent=2) + "\n")
 
@@ -271,7 +227,3 @@ def test_trace_kernel_speedups(benchmark):
     assert generation_speedup >= 3.0
     assert leading_kernel_speedup >= 1.1
     assert fig6_speedup >= 1.5
-    assert fig6_batched_speedup >= 1.5
-    # The lockstep batch must beat the previous PR's committed batched
-    # time by >= 1.5x.
-    assert fig6_simbatch_s <= _PREV_BATCHED_S / 1.5

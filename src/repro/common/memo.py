@@ -166,33 +166,14 @@ class ArtifactCache:
         return entry
 
     def prime_trace_batch(self, requests) -> None:
-        """Pre-generate several trace streams through the lockstep kernels.
+        """Pre-generate several trace streams.
 
-        ``requests`` is an iterable of ``(profile, seed, count)``; every
-        stream that is not yet ``count`` instructions long is extended in
-        one batched :func:`~repro.isa.trace.generate_arrays_batch` pass
-        (bit-identical per stream to solo generation).  Subsequent
-        :meth:`trace_arrays` lookups then hit.  Requests beyond the LRU
-        capacity are ignored — they would only evict each other.
+        ``requests`` is an iterable of ``(profile, seed, count)``; each
+        stream is extended through :meth:`trace_arrays`, so later lookups
+        hit.
         """
-        from repro.isa.soa import TraceArrays
-        from repro.isa.trace import generate_arrays_batch
-
-        entries, needs = [], []
-        for profile, seed, count in list(requests)[: self._max_trace_entries]:
-            entry = self._trace_entry(profile, seed)
-            if len(entry.arrays) < count:
-                entries.append(entry)
-                needs.append(count - len(entry.arrays))
-        if not entries:
-            return
-        batch = generate_arrays_batch(
-            [entry.generator for entry in entries], needs
-        )
-        for b, entry in enumerate(entries):
-            entry.arrays = TraceArrays.concat(
-                [entry.arrays, batch.sim(b)]
-            ).freeze()
+        for profile, seed, count in requests:
+            self.trace_arrays(profile, seed, count)
 
     def trace(self, profile: WorkloadProfile, seed: int, count: int) -> tuple:
         """The first ``count`` instructions of ``(profile, seed)``'s stream

@@ -18,14 +18,21 @@ closely for the quantities the paper's evaluation needs (relative IPC across
 L2 organizations, commit-time streams for the checker co-simulation) at a
 small fraction of the cost.
 
-Two entry points share one state machine (:meth:`LeadingCoreTiming._advance`):
-:meth:`~LeadingCoreTiming.schedule` feeds it one :class:`Instruction` at a
-time, and the columnar batch path (:meth:`~LeadingCoreTiming.run_arrays` /
-:meth:`~LeadingCoreTiming.prepare_window`) precomputes whole windows of
-memory latencies, fetch-line breaks and mispredict flags as NumPy passes
-first — legal because the cache and predictor access order is a pure
-function of the trace order, independent of the cycle timing — then drives
-the same state machine with plain ints.  Results are bit-identical.
+The model has two paths with bit-identical results:
+
+* **Production — the windowed kernel.**
+  :meth:`~LeadingCoreTiming.run_arrays` takes a columnar trace.
+  :meth:`~LeadingCoreTiming.prepare_window` resolves a whole window's
+  memory latencies, fetch-line breaks and mispredict flags in NumPy
+  passes first — legal because the cache and predictor access order is
+  a pure function of the trace order, independent of the cycle timing.
+  :func:`_scan_window` then closes every cycle in one fused loop over
+  precomputed :class:`TraceSchedule` gate indices.
+* **Reference oracle — the object path.**
+  :meth:`~LeadingCoreTiming.schedule` feeds one :class:`Instruction` at
+  a time through the readable state machine
+  :meth:`~LeadingCoreTiming._advance`.  Tests and benches compare the
+  kernel against it; no production caller uses it.
 """
 
 from __future__ import annotations
@@ -60,9 +67,7 @@ __all__ = [
     "LeadingRunResult",
     "PreparedWindow",
     "TraceSchedule",
-    "WindowStatics",
     "build_trace_schedule",
-    "prepare_window_statics",
 ]
 
 # Front-end depth from fetch to dispatch (rename/decode stages).
@@ -89,25 +94,18 @@ class LeadingRunResult:
 
 @dataclass
 class PreparedWindow:
-    """Per-row columns for one batch-scheduled trace window.
+    """Per-row columns for one trace window, ready for the kernel.
 
     Produced by :meth:`LeadingCoreTiming.prepare_window`; every column is
-    a NumPy array (one entry per row), kept as arrays end-to-end so
-    downstream consumers — the RMT harness's windowed checker, the
-    batched entry points — can slice them without round-trips.
-    ``mispredicted`` is an int8 column: ``-1`` for non-branches (the
-    object path's ``None``), ``0`` for correctly predicted branches,
-    ``1`` for mispredicts.  Memory and predictor side effects have
-    already been applied when this exists.
+    a NumPy array (one entry per row), so the RMT harness can slice a
+    window at its checker drains without round-trips.  ``mispredicted``
+    is an int8 column: ``-1`` for non-branches (the object path's
+    ``None``), ``0`` for correctly predicted branches, ``1`` for
+    mispredicts.  Memory and predictor side effects have already been
+    applied when this exists.
     """
 
     pool: np.ndarray
-    is_mem: np.ndarray
-    is_fp: np.ndarray
-    writes: np.ndarray
-    dst: np.ndarray
-    src1: np.ndarray
-    src2: np.ndarray
     fetch_add: np.ndarray
     latency: np.ndarray
     mispredicted: np.ndarray
@@ -118,151 +116,9 @@ class PreparedWindow:
     def window_slice(self, lo: int, hi: int) -> "PreparedWindow":
         """Zero-copy view of rows ``[lo, hi)`` (kernel chunking)."""
         return PreparedWindow(
-            self.pool[lo:hi], self.is_mem[lo:hi], self.is_fp[lo:hi],
-            self.writes[lo:hi], self.dst[lo:hi], self.src1[lo:hi],
-            self.src2[lo:hi], self.fetch_add[lo:hi], self.latency[lo:hi],
+            self.pool[lo:hi], self.fetch_add[lo:hi], self.latency[lo:hi],
             self.mispredicted[lo:hi],
         )
-
-    def rows(self):
-        """Iterate rows as `_advance` argument tuples (sans commit gate).
-
-        Columns convert to plain lists here, once per window: the
-        scheduling state machine's integer arithmetic must touch Python
-        ints, never NumPy scalars.  ``mispredicted`` converts back to the
-        object path's ``None`` / ``bool`` values.
-        """
-        return zip(
-            self.fetch_add.tolist(), self.pool.tolist(),
-            self.is_mem.tolist(), self.is_fp.tolist(), self.writes.tolist(),
-            self.dst.tolist(), self.src1.tolist(), self.src2.tolist(),
-            self.latency.tolist(),
-            [None if v < 0 else v == 1 for v in self.mispredicted.tolist()],
-        )
-
-
-@dataclass
-class WindowStatics:
-    """The simulation-independent half of a window's preparation.
-
-    Everything :meth:`LeadingCoreTiming.prepare_window` computes that
-    depends only on the trace rows ``[start, end)`` and the incoming
-    fetch-line carry — never on any core's cache, predictor, or counter
-    state.  Lockstep batches (:class:`repro.experiments.runner.SimBatch`)
-    compute this once per window and share it across every simulation of
-    the same stream; each core then finishes with
-    :meth:`LeadingCoreTiming.prepare_from_statics`, which applies only
-    the per-core state machines (memory hierarchy, branch predictor,
-    op counters).
-    """
-
-    n: int
-    prev_line: int
-    last_line: int
-    # Merged fetch/data event stream, in exact object-path order.
-    event_kinds: list
-    event_addrs: list
-    sorted_rows: np.ndarray
-    sorted_kinds: np.ndarray
-    # Latency assembly inputs.
-    is_load: np.ndarray
-    base_latency: np.ndarray
-    # Branch pre-pass inputs.
-    branch_rows: np.ndarray
-    branch_pcs: list
-    branch_takens: list
-    branch_targets: list
-    # Op accounting and static columns.
-    op_counts: list
-    pool: np.ndarray
-    is_mem: np.ndarray
-    is_fp: np.ndarray
-    writes: np.ndarray
-    dst: np.ndarray
-    src1: np.ndarray
-    src2: np.ndarray
-
-
-def prepare_window_statics(
-    arrays: TraceArrays, start: int, end: int, prev_line: int
-) -> WindowStatics:
-    """Compute a window's simulation-independent prepare products.
-
-    ``prev_line`` is the fetch-line carry entering the window
-    (:attr:`LeadingCoreTiming._last_fetch_line`); it determines whether
-    row 0 breaks the fetch line.  All fresh same-stream cores stepped at
-    identical window boundaries share the same carry, which is what makes
-    the whole product shareable.
-    """
-    ops = arrays.op[start:end]
-    pc = arrays.pc[start:end]
-    address = arrays.address[start:end]
-    n = len(ops)
-    if n == 0:
-        zi = np.empty(0, dtype=np.int64)
-        zb = np.empty(0, dtype=bool)
-        return WindowStatics(
-            0, prev_line, prev_line, [], [], zi, zi, zb, zi, zi, [], [],
-            [], [0] * len(OP_BY_CODE), zi, zb, zb, zb, zi, zi, zi,
-        )
-
-    is_load = ops == OP_LOAD
-    is_store = ops == OP_STORE
-    is_branch = ops == OP_BRANCH
-    is_mem = is_load | is_store
-
-    # Fetch-line breaks (carrying the last line across windows).
-    lines = pc >> 6
-    prev_lines = np.concatenate([[prev_line], lines[:-1]])
-    breaks = lines != prev_lines
-
-    # One merged event stream keeps the hierarchy's access order
-    # identical to the object path: fetch (key 2r) before data (2r+1).
-    fetch_rows = np.nonzero(breaks)[0]
-    mem_rows = np.nonzero(is_mem)[0]
-    keys = np.concatenate([2 * fetch_rows, 2 * mem_rows + 1])
-    kinds = np.concatenate(
-        [
-            np.zeros(fetch_rows.size, dtype=np.int64),
-            np.where(is_store[mem_rows], 2, 1),
-        ]
-    )
-    event_addrs = np.concatenate([pc[fetch_rows], address[mem_rows]])
-    order = np.argsort(keys)  # keys are unique: plain sort is stable here
-    sorted_kinds = kinds[order]
-
-    branch_rows = np.nonzero(is_branch)[0]
-    if branch_rows.size:
-        branch_pcs = pc[branch_rows].tolist()
-        branch_takens = arrays.taken[start:end][branch_rows].tolist()
-        branch_targets = arrays.target[start:end][branch_rows].tolist()
-    else:
-        branch_pcs = branch_takens = branch_targets = []
-
-    dst = arrays.dst[start:end]
-    return WindowStatics(
-        n=n,
-        prev_line=prev_line,
-        last_line=int(lines[-1]),
-        event_kinds=sorted_kinds.tolist(),
-        event_addrs=event_addrs[order].tolist(),
-        sorted_rows=keys[order] >> 1,
-        sorted_kinds=sorted_kinds,
-        is_load=is_load,
-        base_latency=_LATENCY_ARR[ops],
-        branch_rows=branch_rows,
-        branch_pcs=branch_pcs,
-        branch_takens=branch_takens,
-        branch_targets=branch_targets,
-        op_counts=np.bincount(ops, minlength=len(OP_BY_CODE)).tolist(),
-        pool=_POOL_ARR[ops],
-        is_mem=is_mem,
-        is_fp=(ops == OP_FALU) | (ops == OP_FMUL),
-        writes=dst >= 0,
-        dst=dst,
-        src1=arrays.src1[start:end],
-        src2=arrays.src2[start:end],
-    )
 
 
 @dataclass
@@ -518,7 +374,8 @@ def _scan_window(
 
 class LeadingCoreTiming:
     """Incremental OoO timing model; feed instructions via :meth:`schedule`
-    (object path) or whole traces via :meth:`run_arrays` (columnar path)."""
+    (object oracle) or a whole columnar trace via :meth:`run_arrays`
+    (windowed kernel)."""
 
     def __init__(
         self,
@@ -630,10 +487,9 @@ class LeadingCoreTiming:
     ) -> int:
         """The scheduling state machine: one instruction, already resolved.
 
-        All memory/predictor lookups have happened by the time this runs
-        (inline for :meth:`schedule`, in a window pre-pass for the columnar
-        path); what remains is pure integer cycle arithmetic over the
-        pipeline state.  ``fetch_add`` is the I-fetch stall in cycles (0 on
+        :meth:`schedule` has done the memory/predictor lookups by the
+        time this runs; what remains is pure integer cycle arithmetic over
+        the pipeline state.  ``fetch_add`` is the I-fetch stall in cycles (0 on
         an I-cache hit or a same-line fetch); ``store_address`` >= 0 asks
         this call to apply the store-commit cache access itself.
         """
@@ -743,7 +599,7 @@ class LeadingCoreTiming:
     def prepare_window(
         self, arrays: TraceArrays, start: int, end: int
     ) -> PreparedWindow:
-        """Resolve a trace window's per-row columns for batch scheduling.
+        """Resolve a trace window's per-row columns for the kernel.
 
         Applies every cache access and predictor update for rows
         ``[start, end)`` in exact trace order — legal to do ahead of the
@@ -751,47 +607,45 @@ class LeadingCoreTiming:
         and outcome streams, never the timing.  The event interleaving
         matches the object path: per row, the I-fetch access (on a line
         break) precedes the data access; stores touch L1D only.
-
-        Split into a simulation-independent pre-pass
-        (:func:`prepare_window_statics`) and the per-core completion
-        (:meth:`prepare_from_statics`) so lockstep batches can compute
-        the statics once per window and share them across K cores.
         """
-        statics = prepare_window_statics(
-            arrays, start, end, self._last_fetch_line
-        )
-        return self.prepare_from_statics(statics)
-
-    def prepare_from_statics(self, statics: "WindowStatics") -> PreparedWindow:
-        """Complete a window's columns against *this* core's state.
-
-        Consumes a :class:`WindowStatics` whose ``prev_line`` matches
-        this core's fetch-line carry (asserted): applies the shared
-        event stream to this core's memory hierarchy, advances this
-        core's predictor (or stream view) over the window's branches,
-        and bumps the op counters.  Bit-identical to the fused
-        :meth:`prepare_window` by construction — the statics are exactly
-        the values the fused pass computed inline.
-        """
-        assert statics.prev_line == self._last_fetch_line, (
-            "window statics were computed for a different fetch-line carry"
-        )
-        n = statics.n
+        ops = arrays.op[start:end]
+        n = len(ops)
         if n == 0:
             zi = np.empty(0, dtype=np.int64)
-            zb = np.empty(0, dtype=bool)
-            z8 = np.empty(0, dtype=np.int8)
-            return PreparedWindow(zi, zb, zb, zb, zi, zi, zi, zi, zi, z8)
-        self._last_fetch_line = statics.last_line
+            return PreparedWindow(zi, zi, zi, np.empty(0, dtype=np.int8))
+        pc = arrays.pc[start:end]
+        address = arrays.address[start:end]
+        is_load = ops == OP_LOAD
+        is_store = ops == OP_STORE
+        is_mem = is_load | is_store
 
+        # Fetch-line breaks (carrying the last line across windows).
+        lines = pc >> 6
+        prev_lines = np.concatenate([[self._last_fetch_line], lines[:-1]])
+        breaks = lines != prev_lines
+        self._last_fetch_line = int(lines[-1])
+
+        # One merged event stream keeps the hierarchy's access order
+        # identical to the object path: fetch (key 2r) before data (2r+1).
+        fetch_rows = np.nonzero(breaks)[0]
+        mem_rows = np.nonzero(is_mem)[0]
+        keys = np.concatenate([2 * fetch_rows, 2 * mem_rows + 1])
+        kinds = np.concatenate(
+            [
+                np.zeros(fetch_rows.size, dtype=np.int64),
+                np.where(is_store[mem_rows], 2, 1),
+            ]
+        )
+        event_addrs = np.concatenate([pc[fetch_rows], address[mem_rows]])
+        order = np.argsort(keys)  # keys are unique: plain sort is stable here
+        sorted_rows = keys[order] >> 1
+        sorted_kinds = kinds[order]
         latencies = np.array(
             self.memory.access_window(
-                statics.event_kinds, statics.event_addrs
+                sorted_kinds.tolist(), event_addrs[order].tolist()
             ),
             dtype=np.int64,
         )
-        sorted_rows = statics.sorted_rows
-        sorted_kinds = statics.sorted_kinds
 
         fetch_lat = np.zeros(n, dtype=np.int64)
         fmask = sorted_kinds == 0
@@ -802,31 +656,26 @@ class LeadingCoreTiming:
         load_lat = np.zeros(n, dtype=np.int64)
         lmask = sorted_kinds == 1
         load_lat[sorted_rows[lmask]] = latencies[lmask]
-        latency = np.where(statics.is_load, load_lat, statics.base_latency)
+        latency = np.where(is_load, load_lat, _LATENCY_ARR[ops])
 
         # Branch resolution pre-pass (predictor state is trace-ordered).
         mispredicted = np.full(n, -1, dtype=np.int8)
-        if statics.branch_rows.size:
+        branch_rows = np.nonzero(ops == OP_BRANCH)[0]
+        if branch_rows.size:
             flags = self.predictor.update_window(
-                statics.branch_pcs, statics.branch_takens,
-                statics.branch_targets,
+                pc[branch_rows].tolist(),
+                arrays.taken[start:end][branch_rows].tolist(),
+                arrays.target[start:end][branch_rows].tolist(),
             )
-            mispredicted[statics.branch_rows] = np.asarray(
-                flags, dtype=np.int8
-            )
+            mispredicted[branch_rows] = np.asarray(flags, dtype=np.int8)
 
-        for code, count in enumerate(statics.op_counts):
+        counts = np.bincount(ops, minlength=len(OP_BY_CODE)).tolist()
+        for code, count in enumerate(counts):
             if count:
                 self._op_counts[OP_BY_CODE[code].value] += count
 
         return PreparedWindow(
-            pool=statics.pool,
-            is_mem=statics.is_mem,
-            is_fp=statics.is_fp,
-            writes=statics.writes,
-            dst=statics.dst,
-            src1=statics.src1,
-            src2=statics.src2,
+            pool=_POOL_ARR[ops],
             fetch_add=fetch_add,
             latency=latency,
             mispredicted=mispredicted,
@@ -838,51 +687,34 @@ class LeadingCoreTiming:
     ) -> LeadingRunResult:
         """Columnar counterpart of :meth:`run` — bit-identical results.
 
-        Windowed at the warmup boundary so the measurement snapshot sees
-        exactly the same cache/predictor state as the object path.  A
-        fresh core takes the windowed issue/retire kernel; a core with
-        prior scheduling history falls back to the scalar oracle
-        (:meth:`_advance`), which remains the reference semantics.
+        Runs the windowed issue/retire kernel, windowed at the warmup
+        boundary so the measurement snapshot sees exactly the same
+        cache/predictor state as the object path.  The kernel's gate
+        indices are absolute trace rows, so the core must be freshly
+        constructed: a core with scheduling history raises
+        :class:`RuntimeError` (see :meth:`begin_kernel`).
         """
-        if self.kernel_eligible():
-            self.begin_kernel(
-                schedule or build_trace_schedule(arrays, self.config)
-            )
-            if warmup:
-                self.advance_window(self.prepare_window(arrays, 0, warmup), 0)
-                self.start_measurement()
-            if len(arrays) > warmup:
-                prepared = self.prepare_window(arrays, warmup, len(arrays))
-                self.advance_window(prepared, warmup)
-            self.end_kernel()
-        else:
-            if warmup:
-                self._run_window(arrays, 0, warmup)
-                self.start_measurement()
-            self._run_window(arrays, warmup, len(arrays))
+        self.begin_kernel(
+            schedule or build_trace_schedule(arrays, self.config)
+        )
+        if warmup:
+            self.advance_window(self.prepare_window(arrays, 0, warmup), 0)
+            self.start_measurement()
+        if len(arrays) > warmup:
+            prepared = self.prepare_window(arrays, warmup, len(arrays))
+            self.advance_window(prepared, warmup)
+        self.end_kernel()
         return self.result(len(arrays) - warmup)
 
-    def _run_window(self, arrays: TraceArrays, start: int, end: int) -> None:
-        if end <= start:
-            return
-        prepared = self.prepare_window(arrays, start, end)
-        advance = self._advance
-        for row in prepared.rows():
-            advance(*row)
-
     # -- windowed issue/retire kernel ----------------------------------
-    def kernel_eligible(self) -> bool:
-        """True when the kernel may own this core's timing state.
-
-        The kernel's gate indices are absolute trace rows, so it requires
-        a core with no scheduling history (``_advance`` never ran) —
-        exactly the state every simulation entry point constructs.
-        """
-        return self._scheduled == 0 and self._kernel is None
-
     def begin_kernel(self, schedule: TraceSchedule) -> None:
-        """Enter kernel mode over a fresh core (see :meth:`kernel_eligible`)."""
-        if not self.kernel_eligible():
+        """Enter kernel mode over a freshly constructed core.
+
+        Raises :class:`RuntimeError` if this core has scheduling history
+        (:meth:`_advance` or a previous kernel run) or is already in
+        kernel mode.
+        """
+        if self._scheduled or self._kernel is not None:
             raise RuntimeError("kernel requires a freshly constructed core")
         self._kernel = _KernelState(schedule)
 
@@ -1018,7 +850,7 @@ class LeadingCoreTiming:
 
         The first ``warmup`` instructions train the caches and predictor but
         are excluded from the reported statistics (SimPoint-style
-        measurement window).  Columnar traces take the batch path;
+        measurement window).  Columnar traces take the kernel path;
         ``schedule`` optionally supplies a precomputed (memoized)
         :class:`TraceSchedule` for the kernel.
         """

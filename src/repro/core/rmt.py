@@ -10,6 +10,14 @@ frequency, producing the residency histogram of Figure 7.
 All four bounded queues gate the leading core exactly as the sized
 structures of Section 2.1 would (200-entry RVQ, 80-entry LVQ, 40-entry BOQ,
 40-entry StB).
+
+Like the leading core, the harness has two paths with bit-identical
+results.  :meth:`RmtSimulator.run_arrays` is the production path: the
+leading core's windowed kernel, chunked at checker drains, with the
+checker consuming whole windows.  :meth:`RmtSimulator.run` over a list of
+:class:`~repro.isa.instruction.Instruction` is the reference oracle: one
+:meth:`~repro.core.leading.LeadingCoreTiming.schedule` call and one
+checker step per instruction.  Tests and benches compare the two.
 """
 
 from __future__ import annotations
@@ -144,7 +152,7 @@ class RmtSimulator:
 
         The first ``warmup`` instructions flow through both cores but are
         excluded from the reported leading-core statistics.  Columnar
-        traces take the batch path; ``schedule`` optionally supplies a
+        traces take the kernel path; ``schedule`` optionally supplies a
         precomputed (memoized) :class:`~repro.core.leading.TraceSchedule`
         for the windowed kernel.
         """
@@ -173,18 +181,32 @@ class RmtSimulator:
         self, arrays: TraceArrays, warmup: int = 0,
         schedule: TraceSchedule | None = None,
     ) -> RmtTimingResult:
-        """Columnar co-simulation — bit-identical to :meth:`run`.
+        """Columnar co-simulation on the windowed kernel — bit-identical
+        to :meth:`run`.
 
         The leading core's memory/predictor behaviour is pre-resolved per
         window (:meth:`LeadingCoreTiming.prepare_window`, split at the
         warmup boundary so the measurement snapshot is unchanged); the
-        checker consumes whole windows of precomputed integer columns at
-        once (:meth:`_drain_to`), and the queue-gating recurrence is
-        reduced to a table lookup by a vectorized pre-pass
-        (:meth:`_precompute_gates`).  A fresh simulator takes the
-        windowed issue/retire kernel (:meth:`_run_arrays_kernel`); the
-        per-row scalar loop below is retained as the oracle.
+        queue-gating recurrence is reduced to a table lookup by a
+        vectorized pre-pass (:meth:`_precompute_gates`); each window runs
+        through the leading kernel in chunks cut at checker drains
+        (:meth:`_advance_window`), and the checker consumes whole windows
+        of precomputed integer columns at once (:meth:`_drain_to`).  The
+        simulator must be freshly constructed: one with scheduling
+        history raises :class:`RuntimeError`.
         """
+        if self._commit_times or self._consume_times:
+            raise RuntimeError(
+                "run_arrays requires a freshly constructed simulator"
+            )
+        leading = self.leading
+        leading.begin_kernel(
+            schedule or build_trace_schedule(arrays, self.leading_config)
+        )
+        # The leading kernel's absolute commit list is shared as this
+        # harness's commit stream — no per-row copying in either
+        # direction.
+        self._commit_times = leading._kernel.commits
         self._trace = arrays
         ops = arrays.op
         # Checker columns stay NumPy arrays end-to-end: consume_window
@@ -197,138 +219,35 @@ class RmtSimulator:
         self._cw_dst = arrays.dst
         self._consume_row = self._consume_row_columnar
         needed_arr, binding_arr = self._precompute_gates(ops)
-
-        if (
-            self.leading.kernel_eligible()
-            and not self._commit_times
-            and not self._consume_times
-        ):
-            return self._run_arrays_kernel(
-                arrays, warmup, needed_arr, binding_arr, schedule
-            )
-
-        needed_list = needed_arr.tolist()
-        binding_list = binding_arr.tolist()
-        n = len(arrays)
-        leading = self.leading
-        advance = leading._advance
-        commit_times = self._commit_times
-        consume_times = self._consume_times
-        queue_stalls = self.queue_stalls
-        ceil = math.ceil
-        i = 0
-        for start, end in ((0, min(warmup, n)), (min(warmup, n), n)):
-            if start == end:
-                continue
-            if start == warmup and warmup:
-                leading.start_measurement()
-            prepared = leading.prepare_window(arrays, start, end)
-            for row in prepared.rows():
-                needed = needed_list[i]
-                if needed >= 0:
-                    if needed >= len(consume_times):
-                        self._drain_to(needed)
-                    gate = ceil(consume_times[needed])
-                    if gate > leading._last_commit:
-                        self.backpressure_commits += 1
-                        queue_stalls[_BINDINGS[binding_list[i]]] += 1
-                    commit = advance(*row, gate)
-                else:
-                    commit = advance(*row)
-                commit_times.append(commit)
-                i += 1
-        self._drain_to(n - 1)
-        return self._result(n - warmup)
-
-    def _run_arrays_kernel(
-        self,
-        arrays: TraceArrays,
-        warmup: int,
-        needed_arr: np.ndarray,
-        binding_arr: np.ndarray,
-        schedule: TraceSchedule | None,
-    ) -> RmtTimingResult:
-        """Windowed-kernel co-simulation, chunked at checker drains.
-
-        A thin composition of the batch-stepping lifecycle
-        (:meth:`begin_windows` / :meth:`advance_window` /
-        :meth:`end_windows`) so a solo run and a lockstep-batched run
-        execute the identical code path window for window.
-        """
-        n = len(arrays)
-        self._begin_windows(arrays, needed_arr, binding_arr, schedule)
-        w = min(warmup, n)
-        for start, end in ((0, w), (w, n)):
-            if start == end:
-                continue
-            if start == warmup and warmup:
-                self.leading.start_measurement()
-            self.advance_window(
-                self.leading.prepare_window(arrays, start, end), start
-            )
-        return self.end_windows(n - warmup)
-
-    # -- lockstep batch stepping ---------------------------------------
-    def begin_windows(
-        self, arrays: TraceArrays, schedule: TraceSchedule | None = None
-    ) -> None:
-        """Enter windowed-kernel mode for external (lockstep) stepping.
-
-        Requires a fresh simulator over a columnar trace — the same
-        precondition as the kernel fast path in :meth:`run_arrays`.  The
-        caller then drives :meth:`advance_window` once per trace window
-        (preparing each window itself, e.g. via shared
-        :class:`~repro.core.leading.WindowStatics`) and finishes with
-        :meth:`end_windows`.
-        """
-        if not (
-            self.leading.kernel_eligible()
-            and not self._commit_times
-            and not self._consume_times
-        ):
-            raise RuntimeError(
-                "windowed stepping requires a fresh simulator"
-            )
-        needed_arr, binding_arr = self._precompute_gates(arrays.op)
-        self._begin_windows(arrays, needed_arr, binding_arr, schedule)
-
-    def _begin_windows(
-        self,
-        arrays: TraceArrays,
-        needed_arr: np.ndarray,
-        binding_arr: np.ndarray,
-        schedule: TraceSchedule | None,
-    ) -> None:
-        self._trace = arrays
-        ops = arrays.op
-        self._cw_pool = _POOL_ARR[ops]
-        self._cw_latency = _LATENCY_ARR[ops]
-        self._cw_src1 = arrays.src1
-        self._cw_src2 = arrays.src2
-        self._cw_dst = arrays.dst
-        self._consume_row = self._consume_row_columnar
-        if schedule is None:
-            schedule = build_trace_schedule(arrays, self.leading_config)
-        self.leading.begin_kernel(schedule)
-        # The leading kernel's absolute commit list is shared as this
-        # harness's commit stream — no per-row copying in either
-        # direction.
-        self._commit_times = self.leading._kernel.commits
         self._kw_needed_arr = needed_arr
         self._kw_needed_list = needed_arr.tolist()
         self._kw_needed_max = np.maximum.accumulate(needed_arr)
         self._kw_binding_arr = binding_arr
 
-    def advance_window(self, prepared, start: int) -> None:
+        n = len(arrays)
+        w = min(warmup, n)
+        for start, end in ((0, w), (w, n)):
+            if start == end:
+                continue
+            if start == warmup and warmup:
+                leading.start_measurement()
+            self._advance_window(
+                leading.prepare_window(arrays, start, end), start
+            )
+        self._drain_to(n - 1)
+        leading.end_kernel()
+        return self._result(n - warmup)
+
+    def _advance_window(self, prepared, start: int) -> None:
         """Co-simulate one prepared window, chunked at checker drains.
 
-        The scalar loop drains the checker exactly when a row's gating
+        The object path drains the checker exactly when a row's gating
         entry is beyond the consume stream (``needed >= len(consume)``),
         so those rows — found by a searchsorted over the running max of
         ``needed`` — are the only sound chunk boundaries: between two of
         them every gate is a plain gather over already-final consume
         times, and draining at the boundary sees the exact same
-        commit/consume prefixes as the scalar schedule (DFS occupancy
+        commit/consume prefixes as the object path (DFS occupancy
         sampling included).
         """
         leading = self.leading
@@ -356,7 +275,7 @@ class RmtSimulator:
             leading.advance_window(
                 prepared.window_slice(i0 - start, i1 - start), i0, gates
             )
-            # Stall attribution, identical to the scalar per-row
+            # Stall attribution, identical to the object path's per-row
             # check: gate > the previous row's commit.
             chunk_needed = needed_arr[i0:i1]
             gated = chunk_needed >= 0
@@ -377,12 +296,6 @@ class RmtSimulator:
                             queue_stalls[_BINDINGS[b]] += c
             i0 = i1
 
-    def end_windows(self, instructions: int) -> RmtTimingResult:
-        """Finish a windowed run: drain the checker, leave kernel mode."""
-        self._drain_to(len(self._trace) - 1)
-        self.leading.end_kernel()
-        return self._result(instructions)
-
     def _precompute_gates(
         self, ops: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -392,8 +305,8 @@ class RmtSimulator:
         check-commit must precede row ``i``'s commit — is a pure
         positional recurrence over the class masks (the k-th previous
         same-class row), independent of any timing.  Only the consume
-        *times* are runtime-dependent, so the per-row work in
-        :meth:`run_arrays` reduces to a list lookup.  Returns
+        *times* are runtime-dependent, so the per-row gate in
+        :meth:`_advance_window` reduces to a list lookup.  Returns
         ``(needed, binding)`` arrays; ``needed[i] < 0`` means row ``i``
         is ungated and ``binding[i]`` indexes ``_BINDINGS`` for stall
         attribution.

@@ -1,16 +1,17 @@
-"""The windowed issue/retire kernel vs its scalar oracle.
+"""The windowed issue/retire kernel vs its object-path oracle.
 
 The kernel (:meth:`LeadingCoreTiming.advance_window` driven through
-``run_arrays``) must be *bit-identical* to the retained per-row scalar
-path (``_advance``), which itself must match the object path — including
-RMT queue-stall attribution, op counts, and predictor totals.  These
-tests pin that three-way equality property-based over random workloads,
-window shapes and chip models, plus exact Figure 6 goldens through the
-sweep engine and the lockstep :class:`SimBatch` path.
+``run_arrays``) must be *bit-identical* to the object path (``schedule``
+→ ``_advance``, one :class:`Instruction` at a time) — including RMT
+queue-stall attribution, op counts, predictor totals and the end state
+of the scheduling machine.  These tests pin that equality
+property-based over random workloads, window shapes and chip models,
+plus exact Figure 6 goldens through the sweep engine.
 """
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,12 +22,7 @@ from repro.core.leading import LeadingCoreTiming, _PRUNE_PERIOD
 from repro.core.memory import MemoryHierarchy
 from repro.core.rmt import RmtSimulator
 from repro.experiments.perf import fig6_performance
-from repro.experiments.runner import (
-    SimTask,
-    SimulationWindow,
-    run_batch,
-    run_sim_task,
-)
+from repro.experiments.runner import SimulationWindow
 from repro.isa.opcodes import OP_BRANCH
 from repro.isa.trace import TraceGenerator
 from repro.workloads.profiles import get_profile, spec2k_suite
@@ -60,11 +56,11 @@ def _leading_state(core):
 def test_kernel_equals_oracle_equals_objects_leading(
     profile, seed, n, warmup_frac, chip
 ):
-    """run_arrays(kernel) == run_arrays(oracle) == run(objects), exactly.
+    """run_arrays (kernel) == run (object oracle), exactly.
 
     Equality covers the result dataclass (IPC, cycles, op counts) *and*
     the end state of the scheduling machine — the kernel's ``end_kernel``
-    must reconstruct the deques/rename map the scalar path would hold.
+    must reconstruct the deques/rename map the object path holds.
     """
     warmup = int(n * warmup_frac)
     cfg = SystemConfig.for_chip(chip)
@@ -74,17 +70,13 @@ def test_kernel_equals_oracle_equals_objects_leading(
     kernel_result = kernel_core.run_arrays(trace, warmup)
     assert kernel_core._kernel is None  # kernel mode exited
 
-    oracle_core = _leading_core(cfg)
-    oracle_core.kernel_eligible = lambda: False  # force the scalar path
-    oracle_result = oracle_core.run_arrays(trace, warmup)
-
     object_core = _leading_core(cfg)
     object_result = object_core.run(trace.to_instructions(), warmup)
 
     assert dataclasses.asdict(kernel_result) == dataclasses.asdict(
-        oracle_result
-    ) == dataclasses.asdict(object_result)
-    assert _leading_state(kernel_core) == _leading_state(oracle_core)
+        object_result
+    )
+    assert _leading_state(kernel_core) == _leading_state(object_core)
 
 
 def _rmt_sim(cfg, transfer, peak):
@@ -124,24 +116,16 @@ def test_kernel_equals_oracle_equals_objects_rmt(
 
     sim_k = _rmt_sim(cfg, transfer, peak)
     result_k = sim_k.run_arrays(trace, warmup)
-    sim_o = _rmt_sim(cfg, transfer, peak)
-    sim_o.leading.kernel_eligible = lambda: False
-    result_o = sim_o.run_arrays(trace, warmup)
     sim_j = _rmt_sim(cfg, transfer, peak)
     result_j = sim_j.run(trace.to_instructions(), warmup)
 
-    assert dataclasses.asdict(result_k) == dataclasses.asdict(
-        result_o
-    ) == dataclasses.asdict(result_j)
-    assert sim_k.queue_stalls == sim_o.queue_stalls == sim_j.queue_stalls
-    assert (
-        sim_k.backpressure_commits
-        == sim_o.backpressure_commits
-        == sim_j.backpressure_commits
-    )
-    assert list(sim_k._commit_times) == sim_o._commit_times
-    assert sim_k._consume_times == sim_o._consume_times
-    assert sim_k._occupancy_samples == sim_o._occupancy_samples
+    assert dataclasses.asdict(result_k) == dataclasses.asdict(result_j)
+    assert sim_k.queue_stalls == sim_j.queue_stalls
+    assert sim_k.backpressure_commits == sim_j.backpressure_commits
+    assert sim_k._commit_times == sim_j._commit_times
+    assert sim_k._consume_times == sim_j._consume_times
+    assert sim_k._occupancy_samples == sim_j._occupancy_samples
+    assert _leading_state(sim_k.leading) == _leading_state(sim_j.leading)
 
 
 def test_usage_maps_stay_bounded_across_prunes():
@@ -149,16 +133,17 @@ def test_usage_maps_stay_bounded_across_prunes():
 
     Scheduling many ROB lifetimes' worth of instructions must not grow
     ``_issue_usage``/``_fu_usage`` beyond a few prune periods' worth of
-    distinct cycle keys, on both the kernel and the scalar path.
+    distinct cycle keys, on both the kernel and the object path.
     """
     n = 3 * _PRUNE_PERIOD + 123
     trace = TraceGenerator(get_profile("gzip"), seed=5).generate_arrays(n)
-    for force_oracle in (False, True):
-        cfg = SystemConfig.for_chip(ChipModel.TWO_D_A)
+    cfg = SystemConfig.for_chip(ChipModel.TWO_D_A)
+    for use_kernel in (True, False):
         core = _leading_core(cfg)
-        if force_oracle:
-            core.kernel_eligible = lambda: False
-        core.run_arrays(trace)
+        if use_kernel:
+            core.run_arrays(trace)
+        else:
+            core.run(trace.to_instructions())
         # A prune retains at most the live horizon plus the keys issued
         # since the previous prune — far below one key per instruction.
         bound = 2 * _PRUNE_PERIOD
@@ -204,30 +189,35 @@ def test_fig6_kernel_golden_jobs2():
     assert _fig6_rows(jobs=2) == _GOLDEN_FIG6
 
 
-def test_fig6_simbatch_matches_golden():
-    """Lockstep SimBatch stepping reproduces the goldens exactly."""
-    assert _fig6_rows(jobs=1, simbatch=True) == _GOLDEN_FIG6
+def test_run_arrays_refuses_a_core_with_history():
+    """The kernel needs a fresh core; there is no silent scalar fallback.
 
+    Its gate indices are absolute trace rows, so ``run_arrays`` on a core
+    or simulator that has already scheduled instructions — through the
+    object path or an earlier kernel run — must raise, never switch
+    paths.
+    """
+    cfg = SystemConfig.for_chip(ChipModel.THREE_D_2A)
+    trace = TraceGenerator(get_profile("gzip"), seed=1).generate_arrays(400)
+    objects = trace.to_instructions()
 
-def test_simbatch_equals_solo_runs():
-    """run_batch's lockstep grouping == running every task solo."""
-    window = SimulationWindow(warmup=1500, measured=4000)
-    tasks = [
-        SimTask(
-            kind="rmt" if chip.has_checker else "leading",
-            profile=get_profile(name), chip=chip, window=window,
-        )
-        for name in ("gzip", "swim")
-        for chip in (
-            ChipModel.TWO_D_A, ChipModel.TWO_D_2A,
-            ChipModel.THREE_D_2A, ChipModel.THREE_D_CHECKER,
-        )
-    ]
-    memo.clear_cache()
-    solo = [run_sim_task(task) for task in tasks]
-    memo.clear_cache()
-    batched = run_batch(tasks)
-    assert batched == solo
+    core = _leading_core(cfg)
+    core.run(objects[:50])
+    with pytest.raises(RuntimeError):
+        core.run_arrays(trace)
+    rerun = _leading_core(cfg)
+    rerun.run_arrays(trace)
+    with pytest.raises(RuntimeError):
+        rerun.run_arrays(trace)
+
+    sim = _rmt_sim(cfg, 1, 1.0)
+    sim.run(objects[:50])
+    with pytest.raises(RuntimeError):
+        sim.run_arrays(trace)
+    sim = _rmt_sim(cfg, 1, 1.0)
+    sim.leading.schedule(objects[0])
+    with pytest.raises(RuntimeError):
+        sim.run_arrays(trace)
 
 
 def test_branch_stream_view_equals_clone():
