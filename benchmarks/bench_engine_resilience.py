@@ -10,9 +10,9 @@ Two guarantees ride on this file:
 * a real CLI invocation survives aggressive chaos (worker kills plus
   injected first-attempt failures) end to end: ``python -m repro fig6
   --chaos worker-kill:0.9,task-fail:0.9 --retries 2`` exits 0 and writes
-  a run manifest — once on the default local pool and once on the
-  socket backend, where the kills surface as lost workers whose chunks
-  requeue onto survivors (or degrade down the chain when none is left);
+  a run manifest — once under kills plus injected failures, and once
+  under kills plus duplicated result messages, where the kills surface
+  as lost pool workers whose chunks requeue onto survivors;
 * a respawn storm (``worker-kill:0.9`` with some respawns chaos-vetoed
   by ``respawn-fail:0.3``) is absorbed by replacement workers —
   ``--respawns 8`` keeps the sweep healthy with zero task failures —
@@ -131,21 +131,21 @@ def test_cli_survives_chaos(tmp_path):
     sweep = manifest["sweeps"][0]
     print_table(
         "CLI chaos smoke (fig6 under worker kills + injected failures)",
-        ["tasks", "failures", "retries", "pool rebuilds"],
+        ["tasks", "failures", "retries", "lost workers"],
         [[sweep["tasks"], sweep["failures"], sweep["retries"],
-          sweep["pool_rebuilds"]]],
+          sweep["lost_workers"]]],
     )
     assert sweep["tasks"] == 8
     assert sweep["failures"] == 0
-    assert sweep["pool_rebuilds"] >= 1   # the kills really fired
+    assert sweep["lost_workers"] >= 1    # the kills really fired
 
 
 @pytest.mark.slow
-def test_cli_survives_chaos_on_socket_backend(tmp_path):
-    """The same chaos smoke on ``--executor socket``: worker kills show
-    up as lost TCP workers; the sweep must still complete with zero
-    failures, via requeue onto survivors and — when every worker is
-    gone — degradation down the backend chain."""
+def test_cli_survives_transport_chaos_on_pool(tmp_path):
+    """Kills plus duplicated result messages on the default pool: the
+    kills show up as lost workers, the duplicates as dropped commits;
+    the sweep must still complete with zero failures, via requeue onto
+    survivors and respawned workers."""
     repo = Path(__file__).resolve().parent.parent
     manifest_path = tmp_path / "manifest.json"
     env = dict(os.environ)
@@ -154,8 +154,8 @@ def test_cli_survives_chaos_on_socket_backend(tmp_path):
         [
             sys.executable, "-m", "repro", "fig6",
             "--benchmarks", "gzip,mcf", "--window", "1500", "--jobs", "2",
-            "--executor", "socket", "--retries", "2",
-            "--chaos", "worker-kill:0.4,heartbeat-drop:0.3,result-dup:0.5,seed:1",
+            "--retries", "2",
+            "--chaos", "worker-kill:0.4,result-dup:0.5,seed:1",
             "--metrics", str(manifest_path),
         ],
         cwd=repo,
@@ -166,26 +166,26 @@ def test_cli_survives_chaos_on_socket_backend(tmp_path):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     manifest = json.loads(manifest_path.read_text())
-    assert manifest["executor"] == "socket"
+    assert manifest["executor"] == "local"
     sweep = manifest["sweeps"][0]
     print_table(
-        "CLI socket chaos smoke (kills + heartbeat drops + dup frames)",
+        "CLI pool chaos smoke (kills + duplicated result messages)",
         ["tasks", "failures", "lost workers", "requeues", "dup results"],
         [[sweep["tasks"], sweep["failures"], sweep["lost_workers"],
           sweep["requeues"], sweep["duplicate_results"]]],
     )
     assert sweep["tasks"] == 8
     assert sweep["failures"] == 0
-    assert sweep["executor"] == "socket"
-    assert sweep["lost_workers"] >= 1    # a kill or drop really fired
+    assert sweep["executor"] == "local"
+    assert sweep["lost_workers"] >= 1    # a kill really fired
 
 
 @pytest.mark.slow
-def test_cli_survives_respawn_storm_on_socket_backend(tmp_path):
+def test_cli_survives_respawn_storm_on_pool(tmp_path):
     """Respawn-storm stage: heavy worker kills with a respawn budget
-    (and chaos vetoing some respawns) keep the sweep on the socket
-    backend through replacement workers; zero task failures either
-    way — degradation stays the fallback of last resort."""
+    (and chaos vetoing some respawns) keep the sweep on the pool
+    through replacement workers; zero task failures either way —
+    degradation stays the fallback of last resort."""
     repo = Path(__file__).resolve().parent.parent
     manifest_path = tmp_path / "manifest.json"
     env = dict(os.environ)
@@ -194,7 +194,7 @@ def test_cli_survives_respawn_storm_on_socket_backend(tmp_path):
         [
             sys.executable, "-m", "repro", "fig6",
             "--benchmarks", "gzip,mcf", "--window", "1500", "--jobs", "2",
-            "--executor", "socket", "--retries", "2", "--respawns", "8",
+            "--retries", "2", "--respawns", "8",
             "--chaos", "worker-kill:0.9,respawn-fail:0.3,seed:3",
             "--metrics", str(manifest_path),
         ],

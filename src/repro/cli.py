@@ -312,7 +312,8 @@ def _cmd_report(args) -> None:
              f"({data['tasks_committed']} task(s) committed, "
              f"{len(data['quarantined'])} quarantined)")
         return
-    generate_report(args.out, window=_window(args))
+    generate_report(args.out, window=_window(args),
+                    run_id=events.current_run_id())
     _say(f"wrote {args.out}/results.json and {args.out}/results.md")
 
 
@@ -509,10 +510,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for sweeps (default: "
                             "REPRO_JOBS or cpu count)")
         p.add_argument("--executor", default=None,
-                       choices=("inline", "local", "socket"),
-                       help="sweep executor backend (default: "
-                            "REPRO_EXECUTOR, else inline for --jobs 1 "
-                            "and local otherwise)")
+                       choices=("inline", "local"),
+                       help="sweep executor backend: inline runs "
+                            "in-process, local on the supervised worker "
+                            "pool (default: REPRO_EXECUTOR, else inline "
+                            "for --jobs 1 and local otherwise)")
         p.add_argument("--retries", type=int, default=None,
                        help="re-executions allowed per failed sweep task "
                             "(default: REPRO_RETRIES or 0)")
@@ -522,9 +524,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "runs longer than this (default: "
                             "REPRO_TASK_TIMEOUT or unlimited)")
         p.add_argument("--respawns", type=int, default=None, metavar="N",
-                       help="replacement workers the socket backend may "
-                            "spawn after losses before degrading "
-                            "(default: 2)")
+                       help="replacement workers the local pool may "
+                            "fork after losses before degrading to "
+                            "inline (default: 8)")
         p.add_argument("--drain-timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="on SIGTERM, wait this long for in-flight "
@@ -621,7 +623,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.profile:
             # Workers inherit the environment, so the env knob (not the
             # in-process accumulator) is what switches profiling on in
-            # pool and socket worker processes.
+            # pool worker processes.
             profile_env_prior = os.environ.get(profile_mod.PROFILE_ENV_VAR)
             os.environ[profile_mod.PROFILE_ENV_VAR] = "1"
             profile_mod.set_accumulator(profile_mod.ProfileAccumulator())

@@ -92,24 +92,21 @@ class TaskQuarantinedError(TaskError):
 
 
 class WorkerCrashError(ReproError):
-    """The worker pool kept dying and serial degradation was disabled.
+    """The worker pool lost every worker and serial degradation was
+    disabled.
 
     Raised only when ``TaskPolicy.degrade_serial`` is off; with the
     default policy the engine falls back to in-process execution instead.
     """
 
-    def __init__(self, message: str, *, rebuilds: int = 0):
-        super().__init__(message)
-        self.rebuilds = rebuilds
-
 
 class ExecutorBrokenError(ReproError):
-    """An executor backend ran out of capacity (every worker lost, the
-    pool exceeded its rebuild budget, or the transport failed for good).
+    """An executor backend ran out of capacity (every pool worker lost
+    and the respawn budget spent).
 
     Raised *internally* by executor backends to signal the scheduler
     that the backend cannot make further progress; the scheduler then
-    degrades down the backend chain (``socket -> local -> inline``) or,
+    degrades down the backend chain (``local -> inline``) or,
     when degradation is disabled, escalates as
     :class:`WorkerCrashError`.
     """

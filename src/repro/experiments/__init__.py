@@ -65,8 +65,7 @@ from repro.experiments.engine import (
 from repro.experiments.executors import (
     Executor,
     InlineExecutor,
-    LocalPoolExecutor,
-    SocketExecutor,
+    PoolExecutor,
     make_executor,
 )
 from repro.experiments.runner import (
@@ -142,8 +141,7 @@ __all__ = [
     "ChaosPolicy",
     "Executor",
     "InlineExecutor",
-    "LocalPoolExecutor",
-    "SocketExecutor",
+    "PoolExecutor",
     "make_executor",
     "resolve_executor",
     "set_default_executor",

@@ -2,33 +2,31 @@
 
 The simulated cores get their faults from :mod:`repro.core.faults`; this
 module does the same for the machinery that *runs* the simulations, so
-the engine's recovery paths (retries, pool rebuilds, serial degradation)
-are themselves testable.  A :class:`ChaosPolicy` injects three kinds of
-trouble into sweep tasks:
+the engine's recovery paths (retries, requeues, respawns, poison-task
+quarantine, degradation to ``inline``) are themselves testable.  Task
+faults:
 
 * ``task-fail`` — raise :class:`~repro.common.errors.ChaosError` before
   the task body runs;
-* ``worker-kill`` — ``os._exit`` the worker process (surfaces to the
-  controller as a ``BrokenProcessPool``), only ever inside pool workers;
+* ``worker-kill`` — ``os._exit`` the worker process (the pool sees its
+  sentinel fire and reports a lost worker), only ever inside pool
+  workers;
 * ``task-delay`` — sleep before the task body runs.
 
-PR 7 adds *transport* faults for the pluggable executor backends
+Transport faults, on the messages a pool worker streams back
 (:mod:`repro.experiments.executors`):
 
-* ``heartbeat-drop`` — a socket worker suppresses its heartbeat frames
-  while running the chunk whose first entry the decision names, so the
-  controller declares it lost and requeues the chunk;
-* ``result-dup`` — a worker sends a task's result frame twice (the
+* ``result-dup`` — a worker sends a task's result message twice (the
   at-most-once commit must drop the second copy);
-* ``result-delay`` — a worker holds a result frame back for
+* ``result-delay`` — a worker holds a result message back for
   ``frame_delay_s`` before sending it (exercises late results racing a
   requeued rerun).
 
-PR 9 adds *supervision* faults for the self-healing layer:
+Supervision faults:
 
-* ``worker-hang`` — a socket worker sleeps ``hang_s`` after accepting
-  the chunk whose first entry the decision names, while its heartbeats
-  keep beating (only the chunk lease can catch it);
+* ``worker-hang`` — a pool worker sleeps ``hang_s`` after accepting
+  the chunk whose first entry the decision names (only the chunk lease
+  can catch it);
 * ``respawn-fail`` — a scheduled replacement worker fails to come up
   (decided per respawn ordinal, exercising the degrade fallback);
 * ``short-write`` — the checkpoint writer persists only a prefix of the
@@ -46,8 +44,8 @@ run):
    eventually succeeds with a bit-identical result.
 
 Decisions are pure functions of ``(seed, kind, task index)`` — both the
-worker (to inject) and the controller (to attribute a pool crash to the
-task chaos killed) compute them independently and agree.
+worker (to inject) and the controller (to attribute a lost worker to
+the task chaos killed) compute them independently and agree.
 
 Activate with the ``REPRO_CHAOS`` environment variable or the CLI's
 ``--chaos`` flag, e.g. ``worker-kill:0.1,task-fail:0.05``.
@@ -87,7 +85,6 @@ class ChaosPolicy:
     kill_p: float = 0.0
     delay_p: float = 0.0
     delay_s: float = 0.01
-    hb_drop_p: float = 0.0
     dup_result_p: float = 0.0
     frame_delay_p: float = 0.0
     frame_delay_s: float = 0.05
@@ -100,7 +97,7 @@ class ChaosPolicy:
     def __post_init__(self):
         for name in (
             "fail_p", "kill_p", "delay_p",
-            "hb_drop_p", "dup_result_p", "frame_delay_p",
+            "dup_result_p", "frame_delay_p",
             "hang_p", "respawn_fail_p", "short_write_p",
         ):
             p = getattr(self, name)
@@ -130,23 +127,18 @@ class ChaosPolicy:
         """Whether the task at ``index`` gets an injected delay."""
         return attempt == 0 and self._roll("delay", index) < self.delay_p
 
-    # -- transport faults (executor backends) --------------------------
+    # -- transport faults (pool worker messages) -----------------------
     # All follow the same two determinism rules: decided purely from
     # ``(seed, kind, index)`` and fired only on a chunk's first pass
     # (``attempt == 0``), so a requeued rerun always runs clean and both
-    # sides of the wire can attribute a loss they observe indirectly.
-
-    def drops_heartbeat(self, index: int, attempt: int) -> bool:
-        """Whether a worker running the chunk whose first entry is
-        ``index`` suppresses its heartbeats (controller will requeue)."""
-        return attempt == 0 and self._roll("hb", index) < self.hb_drop_p
+    # sides of the pipe can attribute a loss they observe indirectly.
 
     def duplicates_result(self, index: int, attempt: int) -> bool:
-        """Whether the result frame of task ``index`` is sent twice."""
+        """Whether the result message of task ``index`` is sent twice."""
         return attempt == 0 and self._roll("dup", index) < self.dup_result_p
 
     def delays_result(self, index: int, attempt: int) -> bool:
-        """Whether the result frame of task ``index`` is held back for
+        """Whether the result message of task ``index`` is held back for
         ``frame_delay_s`` before sending."""
         return (
             attempt == 0 and self._roll("frame", index) < self.frame_delay_p
@@ -156,8 +148,8 @@ class ChaosPolicy:
 
     def hangs(self, index: int, attempt: int) -> bool:
         """Whether a worker running the chunk whose first entry is
-        ``index`` stalls for ``hang_s`` after accepting it.  Heartbeats
-        keep flowing, so only the chunk lease (``timeout_s``) detects
+        ``index`` stalls for ``hang_s`` after accepting it.  The worker
+        stays alive, so only the chunk lease (``timeout_s``) detects
         the hang; a requeued rerun runs clean."""
         return attempt == 0 and self._roll("hang", index) < self.hang_p
 
@@ -199,8 +191,8 @@ class ChaosPolicy:
         Comma-separated ``kind:value`` fields; kinds are ``task-fail``
         (or ``fail``), ``worker-kill`` (``kill``), ``task-delay``
         (``delay``, with an optional second value for the sleep in
-        seconds), the transport kinds ``heartbeat-drop`` (``hb-drop``),
-        ``result-dup`` (``dup``), ``result-delay`` (optional second
+        seconds), the transport kinds ``result-dup`` (``dup``),
+        ``result-delay`` (optional second
         value: hold-back seconds), the supervision kinds ``worker-hang``
         (``hang``, optional second value: stall seconds),
         ``respawn-fail``, ``short-write``, and ``seed``.  Example::
@@ -223,8 +215,6 @@ class ChaosPolicy:
                     values["delay_p"] = float(parts[1])
                     if len(parts) > 2:
                         values["delay_s"] = float(parts[2])
-                elif kind in ("heartbeat-drop", "hb-drop"):
-                    values["hb_drop_p"] = float(parts[1])
                 elif kind in ("result-dup", "dup"):
                     values["dup_result_p"] = float(parts[1])
                 elif kind in ("result-delay", "frame-delay"):

@@ -14,20 +14,20 @@ instead of running nested loops inline.  The engine provides:
   ``--executor``, then ``REPRO_EXECUTOR``, then ``inline`` for one
   worker (a pure in-process loop — no executor processes, no pickling —
   so ``pdb``, profilers, and coverage keep working) and the ``local``
-  process pool otherwise; ``socket`` runs long-lived TCP workers;
+  supervised worker pool otherwise;
 * a backend-agnostic scheduler loop driven by per-chunk **leases**
-  (deadline = the wave's worst-case serial budget) and worker
-  **heartbeats**: a missed heartbeat or expired lease requeues the
-  chunk onto a surviving worker where the backend supports it, results
-  commit **at most once** per task key (a slow original completing
-  after its requeued twin cannot double-count), and repeated backend
-  failure degrades down the chain ``socket -> local -> inline``;
+  (deadline = the wave's worst-case serial budget): a lost worker or an
+  expired lease requeues the chunk onto a surviving (or respawned)
+  pool worker, a chunk that keeps killing workers is bisected until
+  its poison task is quarantined, results commit **at most once** per
+  task key (a slow original completing after its requeued twin cannot
+  double-count), and a pool with no worker and no respawn budget left
+  degrades down the chain ``local -> inline``;
 * a resilience policy (:class:`TaskPolicy`): per-task retries with
   exponential backoff and deterministic jitter, a per-task timeout that
   kills hung attempts from inside the worker, fail-fast vs.
-  collect-errors modes, transparent rebuild of a broken worker pool
-  (``BrokenProcessPool``), and graceful degradation after repeated
-  worker deaths;
+  collect-errors modes, a worker respawn budget, and graceful
+  degradation after repeated worker deaths;
 * sweep checkpointing (:mod:`repro.experiments.checkpoint`): completed
   task results append to a JSONL file keyed by run id and task key, so an
   interrupted sweep resumes via ``--resume <run_id>`` and re-executes
@@ -48,7 +48,7 @@ worker count, retry history, or resume boundary.  Chaos injections fire
 *before* a task's body and only on first attempts, which keeps even a
 chaos-disturbed sweep bit-identical to an undisturbed serial one.
 
-Failure accounting (failures/retries/timeouts/pool rebuilds) deliberately
+Failure accounting (failures/retries/timeouts/lost workers) deliberately
 stays **out** of the merged metric snapshots and in dedicated
 :class:`SweepTiming` fields: the ``metrics`` section of a run manifest
 must stay bit-identical between a faulted-and-recovered run and a clean
@@ -79,6 +79,7 @@ from repro.experiments import executors as executors_mod
 from repro.experiments.chaos import ChaosPolicy, hash01
 from repro.experiments.executors import (
     EXECUTOR_ENV_VAR,
+    _TaskOutcome,
     resolve_executor,
     set_default_executor,
 )
@@ -87,18 +88,6 @@ from repro.obs import export as export_mod
 from repro.obs import live as live_mod
 from repro.obs import profile as profile_mod
 from repro.obs.metrics import MetricsSnapshot, merge_snapshots
-
-# Worker-side execution moved to repro.experiments.executors in PR 7;
-# aliased here because engine is their historical home and the runner,
-# tests, and docs refer to them through this module.
-from repro.experiments.executors import (  # noqa: F401
-    _TaskOutcome,
-    _TaskTimeout,
-    _attempt_task,
-    _deadline,
-    _kill_pool_workers,
-    _run_chunk,
-)
 
 __all__ = [
     "JOBS_ENV_VAR",
@@ -155,21 +144,17 @@ class TaskPolicy:
     ``fail_fast`` (the default) the first exhausted task aborts the
     sweep with :class:`SweepAbortedError`; otherwise failures are
     collected, failed slots return ``None``, and the sweep completes.
-    A pool that keeps dying is rebuilt ``max_pool_rebuilds`` times, then
-    the remaining tasks run serially in-process (``degrade_serial``) or
-    :class:`WorkerCrashError` is raised.  On backends that support
-    work-stealing requeue (the socket executor), a chunk stranded by a
-    lost worker or an expired lease is resubmitted to a surviving
-    worker at most ``max_requeues`` times before its unfinished tasks
-    are declared failed.  A lost socket worker is replaced by a fresh
-    process after ``respawn_backoff_s``, at most ``max_respawns`` times
-    per sweep (``0`` restores the old shrink-onto-survivors behaviour);
-    the local pool's equivalent is its ``max_pool_rebuilds`` budget.
-    ``drain_timeout_s`` bounds how long a drain (SIGTERM) waits for
-    in-flight chunks to finish before giving up on them.
-    ``degrade_serial`` also governs the backend degradation chain: when
-    off, a broken backend raises instead of falling back to the next
-    one.
+    On the ``local`` worker pool, a chunk stranded by a lost worker or
+    an expired lease is resubmitted to a surviving worker at most
+    ``max_requeues`` times before its unfinished tasks are declared
+    failed.  A lost (or lease-killed) worker is replaced by a freshly
+    forked one after ``respawn_backoff_s``, at most ``max_respawns``
+    times per sweep (``0`` shrinks onto the survivors instead).  Once
+    the pool has no worker left and its respawn budget is spent, the
+    remaining tasks run serially in-process (``degrade_serial``) or
+    :class:`WorkerCrashError` is raised.  ``drain_timeout_s`` bounds
+    how long a drain (SIGTERM) waits for in-flight chunks to finish
+    before giving up on them.
     """
 
     max_retries: int = 0
@@ -178,10 +163,9 @@ class TaskPolicy:
     backoff_multiplier: float = 2.0
     max_backoff_s: float = 2.0
     fail_fast: bool = True
-    max_pool_rebuilds: int = 3
     degrade_serial: bool = True
     max_requeues: int = 3
-    max_respawns: int = 2
+    max_respawns: int = 8
     respawn_backoff_s: float = 0.1
     drain_timeout_s: float = 30.0
 
@@ -196,10 +180,6 @@ class TaskPolicy:
             )
         if self.backoff_s < 0 or self.max_backoff_s < 0:
             raise ConfigError("backoff times must be >= 0")
-        if self.max_pool_rebuilds < 0:
-            raise ConfigError(
-                f"max_pool_rebuilds must be >= 0, got {self.max_pool_rebuilds}"
-            )
         if self.max_requeues < 0:
             raise ConfigError(
                 f"max_requeues must be >= 0, got {self.max_requeues}"
@@ -303,14 +283,13 @@ class SweepTiming:
     failures: int = 0        # tasks that exhausted every attempt
     retries: int = 0         # failed attempts that were retried
     timeouts: int = 0        # attempts killed by the per-task timeout
-    pool_rebuilds: int = 0   # BrokenProcessPool recoveries
     resumed_tasks: int = 0   # tasks restored from a checkpoint
     degraded: bool = False   # fell down the backend chain mid-sweep
     empty: bool = False      # sweep had no tasks (not recorded)
     executor: str = ""       # backend the sweep started on
     backends: list[str] = field(default_factory=list)  # backends used, in order
     requeues: int = 0        # chunks resubmitted after worker loss/lease expiry
-    lost_workers: int = 0    # workers declared dead (crash or heartbeat)
+    lost_workers: int = 0    # worker processes that died mid-sweep
     lease_expiries: int = 0  # chunk leases that expired at the controller
     duplicate_results: int = 0  # late/duplicate commits dropped per task key
     respawns: int = 0        # replacement workers spawned after a loss
@@ -381,7 +360,6 @@ def timing_summary(
             "failures": t.failures,
             "retries": t.retries,
             "timeouts": t.timeouts,
-            "pool_rebuilds": t.pool_rebuilds,
             "resumed_tasks": t.resumed_tasks,
             "degraded": t.degraded,
             "executor": t.executor,
@@ -470,10 +448,9 @@ def resolve_jobs(jobs: int | None = None) -> int:
 
 
 # ---------------------------------------------------------------------
-# Controller side: chunk scheduling, lease/heartbeat supervision,
-# backend degradation, checkpointing.  (Worker-side execution — the
-# attempt loop, SIGALRM deadline, and chunk runner — lives in
-# repro.experiments.executors and is re-exported above.)
+# Controller side: chunk scheduling, lease supervision, backend
+# degradation, checkpointing.  (Worker-side execution — the attempt
+# loop and SIGALRM deadline — lives in repro.experiments.executors.)
 
 
 class _SweepState:
@@ -696,20 +673,6 @@ class _SweepState:
             error=error,
         ))
 
-    def absorb_chunk_error(self, chunk, exc: Exception) -> None:
-        """An infrastructure failure lost a whole chunk (e.g. the result
-        would not unpickle); every not-yet-committed task in it counts
-        as failed."""
-        for index, base, _item in chunk:
-            if self.is_committed(index):
-                continue
-            self.absorb(_TaskOutcome(
-                index=index,
-                attempts=base + 1,
-                error_kind="error",
-                error=f"chunk execution failed: {type(exc).__name__}: {exc}",
-            ))
-
 
 def _chunked(entries: list, chunksize: int) -> list[list]:
     return [
@@ -717,44 +680,24 @@ def _chunked(entries: list, chunksize: int) -> list[list]:
     ]
 
 
-def _bump_killed_entries(chunk, chaos: ChaosPolicy | None):
-    """After a pool crash, consume the first attempt of every entry the
-    chaos policy would have killed, so its rerun is injection-free.  Both
-    sides of the process boundary compute the same pure decision, which
-    is what lets the controller attribute a crash it only observed as a
-    ``BrokenProcessPool``.  Real (non-chaos) crashes resubmit unchanged.
-    """
-    if chaos is None:
-        return list(chunk)
-    return [
-        (index, base + 1, item)
-        if chaos.kills(index, base) else (index, base, item)
-        for index, base, item in chunk
-    ]
-
-
 def _bump_lost_entries(chunk, chaos: ChaosPolicy | None, reason: str):
-    """Attribute a lost socket worker to the chaos decisions that caused
-    it, consuming the disturbed first attempts so the requeued rerun is
-    injection-free.  ``crash`` losses attribute kills (same logic as the
-    pool's :func:`_bump_killed_entries`); ``heartbeat`` losses also
-    consume the chunk-level heartbeat drop, which is decided from the
-    first entry.  A chaos ``worker-hang`` is consumed for *any* reason —
-    including lease-driven requeues, which are exactly how a hang
-    surfaces — while a real hang (no chaos decision) resubmits
-    unchanged.
+    """Attribute a lost worker to the chaos decisions that caused it,
+    consuming the disturbed first attempts so the requeued rerun is
+    injection-free.  Both sides of the pipe compute the same pure
+    decisions, which is what lets the controller attribute a death it
+    only observed as a fired process sentinel.  ``crash`` losses
+    attribute kills; a chaos ``worker-hang`` (decided from the first
+    entry) is consumed for *any* reason — including lease-driven
+    requeues, which are exactly how a hang surfaces — while a real
+    crash or hang (no chaos decision) resubmits unchanged.
     """
     if chaos is None:
         return list(chunk)
     bumped = []
     for pos, (index, base, item) in enumerate(chunk):
         bump = pos == 0 and chaos.hangs(index, base)
-        if reason != "lease":
-            bump = bump or chaos.kills(index, base) or (
-                reason == "heartbeat"
-                and pos == 0
-                and chaos.drops_heartbeat(index, base)
-            )
+        if reason == "crash":
+            bump = bump or chaos.kills(index, base)
         bumped.append((index, base + 1, item) if bump else (index, base, item))
     return bumped
 
@@ -827,18 +770,17 @@ def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
     The scheduler is backend-agnostic: it submits chunks with a lease
     (deadline = the wave's worst-case serial budget, armed only when the
     policy carries a per-task timeout), consumes the executor's event
-    stream, and supervises three failure paths —
+    stream, and supervises two failure paths —
 
-    * **worker loss** (socket EOF or missed heartbeats): the chunk is
-      requeued onto a surviving worker, at most
-      ``policy.max_requeues`` times, with the chaos decisions that
-      caused the loss attributed so the rerun is injection-free;
-    * **lease expiry**: on a requeue-capable backend the chunk's worker
-      is cancelled and the chunk requeued; elsewhere (inline, local
-      pool — the old wave-expiry semantics) its unfinished tasks are
-      declared timed out by the controller;
-    * **pool breakage**: counted against ``policy.max_pool_rebuilds``
-      and resubmitted whole onto a rebuilt pool.
+    * **worker loss** (a dead pool worker): the chunk is requeued onto
+      a surviving worker, at most ``policy.max_requeues`` times, with
+      the chaos decisions that caused the loss attributed so the rerun
+      is injection-free; a chunk that keeps killing workers with no
+      chaos decision to blame is bisected, and a single poisonous task
+      is quarantined;
+    * **lease expiry**: on the pool the chunk's worker is killed and
+      the chunk requeued; inline (which cannot requeue) declares the
+      chunk's unfinished tasks timed out by the controller.
 
     A chunk that is resubmitted whole re-runs from a cold cache for its
     task keys, so re-produced metric deltas are bit-identical and the
@@ -857,7 +799,6 @@ def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
     requeue_counts: dict[int, int] = {}
     loss_counts: dict[int, int] = {}
     ids = itertools.count()
-    pool_rebuilds = 0
 
     def submit_wave(wave) -> None:
         deadline = None
@@ -925,7 +866,7 @@ def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
             b_new != b_old
             for (_i1, b_old, _t1), (_i2, b_new, _t2) in zip(original, chunk)
         )
-        if reason in ("crash", "heartbeat") and not attributed:
+        if reason == "crash" and not attributed:
             losses = loss_counts[chunk_id] = loss_counts.get(chunk_id, 0) + 1
             if losses >= _POISON_LOSS_LIMIT:
                 if len(chunk) > 1:
@@ -972,7 +913,6 @@ def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
         executor.submit_chunk(chunk_id, chunk)
 
     def handle_event(event) -> None:
-        nonlocal pool_rebuilds
         if isinstance(event, executors_mod.ChunkStarted):
             # A worker picked the chunk up: re-arm its lease to the
             # chunk's own budget (tighter than the shared wave bound).
@@ -988,11 +928,6 @@ def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
         elif isinstance(event, executors_mod.ChunkDone):
             outstanding.pop(event.chunk_id, None)
             leases.pop(event.chunk_id, None)
-        elif isinstance(event, executors_mod.ChunkFailed):
-            chunk = outstanding.pop(event.chunk_id, None)
-            leases.pop(event.chunk_id, None)
-            if chunk is not None:
-                state.absorb_chunk_error(chunk, event.error)
         elif isinstance(event, executors_mod.WorkerLost):
             timing.lost_workers += 1
             if state.live is not None:
@@ -1031,49 +966,6 @@ def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
                 replaced=event.replaced,
                 ordinal=event.ordinal,
             )
-        elif isinstance(event, executors_mod.PoolBroken):
-            pool_rebuilds += 1
-            timing.pool_rebuilds += 1
-            events.emit(
-                "pool_rebuilt",
-                run_id=timing.run_id,
-                label=state.label,
-                rebuilds=pool_rebuilds,
-                unfinished_tasks=sum(
-                    len(outstanding[cid]) for cid in event.chunk_ids
-                    if cid in outstanding
-                ),
-            )
-            wave = []
-            for chunk_id in event.chunk_ids:
-                chunk = outstanding.get(chunk_id)
-                if chunk is None:
-                    continue
-                # Attribute chaos kills before any resubmission or
-                # degradation handoff, so the rerun is injection-free.
-                chunk = _bump_killed_entries(chunk, chaos)
-                outstanding[chunk_id] = chunk
-                wave.append(chunk_id)
-            if pool_rebuilds > policy.max_pool_rebuilds:
-                if not policy.degrade_serial:
-                    raise WorkerCrashError(
-                        f"sweep {state.label!r}: worker pool died "
-                        f"{pool_rebuilds} times (max_pool_rebuilds="
-                        f"{policy.max_pool_rebuilds})",
-                        rebuilds=pool_rebuilds,
-                    )
-                raise ExecutorBrokenError(
-                    f"worker pool died {pool_rebuilds} times",
-                    backend=backend,
-                )
-            deadline = None
-            if policy.timeout_s is not None:
-                deadline = time.monotonic() + _wave_budget(
-                    [outstanding[cid] for cid in wave], policy
-                )
-            for chunk_id in wave:
-                leases[chunk_id] = deadline
-                executor.submit_chunk(chunk_id, outstanding[chunk_id])
 
     remaining: list = []
     broken = False
@@ -1109,8 +1001,7 @@ def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
             if state.live is not None and (wait_s is None or wait_s > 0.5):
                 # Live consumers need the loop back regularly for a
                 # heartbeat fold / renderer tick even when no lease is
-                # armed (local pool would otherwise block indefinitely
-                # on its futures).
+                # armed.
                 wait_s = 0.5
             if wait_s is None or wait_s > 1.0:
                 # Bounded wait so a drain request (SIGTERM) is noticed
@@ -1183,7 +1074,6 @@ def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
                 f"sweep {state.label!r}: executor backend {backend!r} "
                 f"failed with {sum(len(c) for c in remaining)} task(s) "
                 "unfinished and degradation disabled",
-                rebuilds=pool_rebuilds,
             ) from None
     except BaseException:
         executor.shutdown(kill=True)
@@ -1197,8 +1087,8 @@ def _run_with_executors(fn, chunks, jobs, policy, chaos, state: _SweepState,
     """Drive the sweep down the degradation chain starting at ``backend``.
 
     Each broken backend hands its unfinished chunks to the next link
-    (``socket -> local -> inline``); ``inline`` is the in-process loop
-    and cannot break, so the chain always terminates.
+    (``local -> inline``); ``inline`` is the in-process loop and cannot
+    break, so the chain always terminates.
     """
     chain = executors_mod.DEGRADATION_CHAIN
     position = chain.index(backend)
@@ -1219,7 +1109,6 @@ def _run_with_executors(fn, chunks, jobs, policy, chaos, state: _SweepState,
             label=state.label,
             backend=name,
             fallback=chain[position],
-            rebuilds=state.timing.pool_rebuilds,
             remaining_tasks=sum(len(c) for c in pending),
         )
 
@@ -1239,17 +1128,17 @@ def run_sweep(
     """Map ``fn`` over ``items``, preserving order, with fault tolerance.
 
     ``fn`` must be a module-level callable and every item picklable when
-    the work leaves the process (the ``local`` and ``socket`` backends).
-    With ``jobs=1`` (the ``inline`` backend) nothing is pickled and
+    the work leaves the process (the ``local`` worker pool).  With
+    ``jobs=1`` (the ``inline`` backend) nothing is pickled and
     everything runs in-process.  ``executor`` picks the backend by name
-    (``inline``/``local``/``socket``; default per
+    (``inline``/``local``; default per
     :func:`~repro.experiments.executors.resolve_executor`).
     ``chunksize`` controls how many consecutive tasks form one unit of
     worker placement; drivers pass the inner-loop length so one worker
     runs all of a benchmark's chip models and reuses its memoized trace.
 
     ``policy`` (default: :func:`set_default_policy`, else no retries,
-    fail fast) governs retries, timeouts, error collection, and pool
+    fail fast) governs retries, timeouts, error collection, and worker
     recovery; ``chaos`` (default: :func:`chaos.set_chaos`, else the
     ``REPRO_CHAOS`` environment variable) injects faults for testing.
     In collect-errors mode the returned list holds ``None`` for tasks
@@ -1360,7 +1249,6 @@ def run_sweep(
             failures=timing.failures,
             retries=timing.retries,
             timeouts=timing.timeouts,
-            pool_rebuilds=timing.pool_rebuilds,
             resumed_tasks=timing.resumed_tasks,
             executor=backend,
             requeues=timing.requeues,

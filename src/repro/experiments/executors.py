@@ -1,33 +1,29 @@
-"""Pluggable executor backends for the sweep engine.
+"""Executor backends for the sweep engine.
 
 The engine (:mod:`repro.experiments.engine`) schedules chunks of sweep
 tasks; *how* a chunk actually runs is this module's concern.  An
 :class:`Executor` turns ``submit_chunk`` calls into a stream of
 :class:`ChunkStarted` / :class:`TaskDone` / :class:`ChunkDone` /
 :class:`WorkerLost` events that the engine's backend-agnostic scheduler
-loop consumes.  Three implementations ship:
+loop consumes.  Two implementations ship:
 
-* :class:`InlineExecutor` — serial, in-process, one task per ``poll``
-  call so the scheduler can checkpoint and fail-fast *between* tasks
-  exactly like the old ``_run_serial`` path.  Nothing is pickled;
-  ``pdb``, profilers, and coverage keep working.
-* :class:`LocalPoolExecutor` — today's ``ProcessPoolExecutor`` shape:
-  chunk futures, ``BrokenProcessPool`` surfaced as a single
-  :class:`PoolBroken` event so the scheduler can rebuild and resubmit.
-* :class:`SocketExecutor` — long-lived worker processes speaking a
-  localhost TCP protocol of length-prefixed pickled frames, standing in
-  for the multi-host case.  Workers send heartbeats from a daemon
-  thread and stream per-task results, so the controller detects a lost
-  or silent worker (EOF, missed heartbeats), requeues its chunk onto
-  a survivor without restarting the backend, and — within
-  ``TaskPolicy.max_respawns`` — spawns a replacement worker so the
-  sweep recovers full capacity.
+* :class:`InlineExecutor` (``inline``) — serial, in-process, one task
+  per ``poll`` call so the scheduler can checkpoint and fail-fast
+  *between* tasks.  Nothing is pickled; ``pdb``, profilers, and
+  coverage keep working.
+* :class:`PoolExecutor` (``local``) — one supervised pool of forked
+  worker processes, each connected to the controller by its own
+  ``multiprocessing`` pipe.  Workers stream per-task results; the
+  controller watches every pipe and process sentinel, so a dead worker
+  is detected at once, its chunk requeues onto a survivor, and —
+  within ``TaskPolicy.max_respawns`` — a replacement worker is forked
+  so the sweep recovers full capacity.  A worker that is alive but
+  stuck is caught by the chunk lease and killed.
 
-This module also owns the *worker-side* execution layer the backends
-share — the per-attempt retry loop (:func:`_attempt_task`), the
-``SIGALRM`` interval-timer deadline (:func:`_deadline`), and the
-picklable :class:`_TaskOutcome` record — moved here from the engine so
-the backends and the engine do not import-cycle.
+This module also owns the *worker-side* execution layer — the
+per-attempt retry loop (:func:`_attempt_task`), the ``SIGALRM``
+interval-timer deadline (:func:`_deadline`), and the picklable
+:class:`_TaskOutcome` record.
 
 On platforms without ``signal.SIGALRM`` / ``setitimer`` the in-worker
 deadline cannot be armed; :func:`_attempt_task` then falls back to a
@@ -39,30 +35,24 @@ outlives its worst-case budget.
 Selection: :func:`resolve_executor` picks the backend — explicit
 argument, then :func:`set_default_executor` (the CLI's ``--executor``),
 then the ``REPRO_EXECUTOR`` environment variable, then ``inline`` for
-``jobs=1`` and ``local`` otherwise.  When a backend fails for good
-(every socket worker lost, pool rebuild budget exhausted) it raises
+``jobs=1`` and ``local`` otherwise.  When the pool has lost every
+worker and spent its respawn budget it raises
 :class:`~repro.common.errors.ExecutorBrokenError` and the scheduler
-degrades down :data:`DEGRADATION_CHAIN` (``socket -> local ->
-inline``).
+degrades down :data:`DEGRADATION_CHAIN` (``local -> inline``).
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
-import selectors
 import signal
-import socket
 import threading
 import time
 import traceback as traceback_mod
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
-from concurrent.futures import wait as futures_wait
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from multiprocessing import connection as mp_connection
 from typing import Callable, Sequence
 
 from repro.common.errors import ChaosError, ConfigError, ExecutorBrokenError
@@ -76,15 +66,12 @@ __all__ = [
     "ChunkStarted",
     "TaskDone",
     "ChunkDone",
-    "ChunkFailed",
     "WorkerLost",
-    "PoolBroken",
     "WorkerRespawned",
     "RespawnFailed",
     "Executor",
     "InlineExecutor",
-    "LocalPoolExecutor",
-    "SocketExecutor",
+    "PoolExecutor",
     "make_executor",
     "resolve_executor",
     "set_default_executor",
@@ -95,7 +82,7 @@ EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
 #: Fallback order when a backend fails for good: each link degrades to
 #: the next.  ``inline`` cannot fail (it is the in-process loop), so the
 #: chain always terminates.
-DEGRADATION_CHAIN = ("socket", "local", "inline")
+DEGRADATION_CHAIN = ("local", "inline")
 
 #: Whether this platform can arm the in-worker interval-timer deadline.
 #: Module-level so tests can monkeypatch the no-SIGALRM fallback.
@@ -106,9 +93,9 @@ _HAS_ALARM = hasattr(signal, "SIGALRM") and hasattr(signal, "setitimer")
 # Worker-side task execution: attempts, timeouts, chaos.
 #
 # A sweep entry is the tuple ``(index, base_attempt, item)``.
-# ``base_attempt`` is nonzero only after a chaos kill (or heartbeat
-# drop) was attributed to the task, so its rerun counts the consumed
-# attempt and skips further first-attempt injections.
+# ``base_attempt`` is nonzero only after a chaos kill (or hang) was
+# attributed to the task, so its rerun counts the consumed attempt and
+# skips further first-attempt injections.
 
 
 class _TaskTimeout(BaseException):
@@ -126,7 +113,7 @@ def _deadline(timeout_s: float | None):
     """Kill the enclosed block after ``timeout_s`` via an interval timer.
 
     Enforcement requires ``SIGALRM`` (Unix) and the main thread — both
-    true for pool/socket workers and for the inline in-process path.
+    true for pool workers and for the inline in-process path.
     Anywhere else the block runs unlimited rather than failing; the
     caller's post-hoc wall check and the controller-side lease take
     over (see the module docstring).
@@ -268,20 +255,6 @@ def _attempt_task(
     return outcome
 
 
-def _run_chunk(
-    fn: Callable,
-    entries: Sequence[tuple[int, int, object]],
-    policy,
-    chaos: ChaosPolicy | None,
-    in_worker: bool,
-) -> list[_TaskOutcome]:
-    """Execute one chunk of entries in order (the unit of placement)."""
-    return [
-        _attempt_task(fn, item, index, base, policy, chaos, in_worker)
-        for index, base, item in entries
-    ]
-
-
 # ---------------------------------------------------------------------
 # Scheduler-facing event stream.
 
@@ -299,7 +272,7 @@ class TaskDone:
     """One task of a chunk finished (ok or exhausted); carries the outcome.
 
     ``worker`` names the executing worker when the backend knows it
-    (``"inline"``, a pool pid, a socket worker id) — live telemetry
+    (``"inline"`` or a pool worker id) — live telemetry
     attribution only, never scheduling state.
     """
 
@@ -316,18 +289,9 @@ class ChunkDone:
 
 
 @dataclass(frozen=True)
-class ChunkFailed:
-    """Chunk execution failed as a unit (e.g. its result would not
-    unpickle); the scheduler fails its uncommitted tasks."""
-
-    chunk_id: int
-    error: Exception = None
-
-
-@dataclass(frozen=True)
 class WorkerLost:
-    """A worker died (``crash``) or went silent (``heartbeat``); its
-    chunks need requeueing onto a survivor."""
+    """A worker died (``crash``: its process exited or its pipe hit
+    EOF); its chunks need requeueing onto a survivor."""
 
     worker: str
     chunk_ids: tuple = ()
@@ -335,16 +299,8 @@ class WorkerLost:
 
 
 @dataclass(frozen=True)
-class PoolBroken:
-    """The whole process pool died; the scheduler rebuilds and
-    resubmits every listed chunk (``BrokenProcessPool`` semantics)."""
-
-    chunk_ids: tuple = ()
-
-
-@dataclass(frozen=True)
 class WorkerRespawned:
-    """A replacement worker came up after a loss (socket backend);
+    """A replacement worker came up after a loss;
     ``replaced`` names the worker it stands in for."""
 
     worker: str
@@ -371,9 +327,9 @@ class Executor:
 
     name = "base"
     #: Whether a cancelled/lost chunk can be resubmitted to a surviving
-    #: worker (socket) or the backend only supports terminal
-    #: cancellation (inline, local pool — matching the old wave-expiry
-    #: semantics).
+    #: worker (the pool) or the backend only supports terminal
+    #: cancellation (inline: an expired lease fails the chunk's
+    #: unfinished tasks).
     supports_requeue = False
 
     def __init__(self, *, fn, policy, chaos, jobs=1):
@@ -414,12 +370,11 @@ class Executor:
 
         Every backend reports the same schema — each value is a dict
         with ``worker`` (the same id), ``age_s`` (seconds since the
-        worker was last heard from, monotonic clock; ``0.0`` for
-        in-process or pool workers whose liveness is implicit), and
-        ``inflight_chunk`` (the chunk id currently placed on the
-        worker, or ``None`` when idle).  Backends may add keys — the
-        socket backend adds ``tasks_done``, the worker's self-reported
-        progress within its current chunk.  Observation-only: the
+        worker's last message, monotonic clock; ``0.0`` for the
+        in-process worker), and ``inflight_chunk`` (the chunk id
+        currently placed on the worker, or ``None`` when idle).
+        Backends may add keys — the pool adds ``tasks_done``, the task
+        results received for the current chunk.  Observation-only: the
         scheduler never reads this; it feeds ``LiveStats`` and the
         metrics endpoint.
         """
@@ -505,392 +460,148 @@ class InlineExecutor(Executor):
 
 
 # ---------------------------------------------------------------------
-def _kill_pool_workers(pool: ProcessPoolExecutor) -> None:
-    """Best-effort terminate of pool workers on abnormal exits, so an
-    abort or Ctrl-C is not held hostage by a long or hung task.  Reaches
-    into executor internals, hence the broad guard."""
-    try:
-        processes = list((pool._processes or {}).values())
-    except Exception:
-        return
-    for process in processes:
-        try:
-            process.terminate()
-        except Exception:
-            pass
+# The supervised worker pool: forked processes, one pipe each.
 
 
-class LocalPoolExecutor(Executor):
-    """Chunk futures on a lazily (re)built ``ProcessPoolExecutor``.
+def _pool_worker_main(conn, inherited, fn, policy, chaos):
+    """Entry point of one pool worker process.
 
-    A broken pool is reported once, as a single :class:`PoolBroken`
-    event carrying every in-flight chunk id; the pool itself is torn
-    down and a fresh one is built on the next ``submit_chunk`` — the
-    scheduler owns the rebuild budget and the resubmission.
+    Receives ``(chunk_id, entries)`` requests (``None`` means exit),
+    runs each chunk through :func:`_attempt_task`, and streams one
+    message per step back over its pipe: ``("started", chunk_id)``,
+    ``("task", chunk_id, outcome)`` per task, ``("done", chunk_id)`` —
+    with chaos-injected duplicate, delayed and hung messages when asked,
+    so the controller's at-most-once commit and lease are exercised for
+    real.
+
+    ``inherited`` are the controller-side pipe ends this fork copied
+    (its own and its live siblings').  Closing them here leaves the
+    controller as the only holder, so the controller's death reaches
+    every idle worker as EOF and the worker exits instead of lingering.
+    SIGTERM is restored to its default and SIGINT ignored: the
+    controller owns interruption and kills its workers itself.
     """
-
-    name = "local"
-    supports_requeue = False
-
-    def __init__(self, **context):
-        super().__init__(**context)
-        self._pool: ProcessPoolExecutor | None = None
-        self._futures: dict = {}   # future -> chunk_id
-        self._by_chunk: dict = {}  # chunk_id -> future
-        self._needs_kill = False
-
-    def submit_chunk(self, chunk_id: int, entries: Sequence) -> None:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self._jobs)
-        future = self._pool.submit(
-            _run_chunk, self._fn, list(entries), self._policy, self._chaos,
-            True,
-        )
-        self._futures[future] = chunk_id
-        self._by_chunk[chunk_id] = future
-
-    def _chunk_events(self, chunk_id: int, outcomes) -> list:
-        events = []
-        for outcome in outcomes:
-            telemetry = getattr(outcome, "telemetry", None) or {}
-            pid = telemetry.get("pid")
-            events.append(TaskDone(
-                chunk_id, outcome,
-                worker="" if pid is None else str(pid),
-            ))
-        events.append(ChunkDone(chunk_id))
-        return events
-
-    def poll(self, timeout_s: float | None = None) -> list:
-        if not self._futures:
-            return []
-        done, _ = futures_wait(
-            list(self._futures), timeout=timeout_s,
-            return_when=FIRST_COMPLETED,
-        )
-        events: list = []
-        broken_ids: list = []
-        for future in done:
-            chunk_id = self._futures.pop(future)
-            self._by_chunk.pop(chunk_id, None)
-            try:
-                outcomes = future.result()
-            except BrokenProcessPool:
-                broken_ids.append(chunk_id)
-            except Exception as exc:
-                events.append(ChunkFailed(chunk_id, exc))
-            else:
-                events.extend(self._chunk_events(chunk_id, outcomes))
-        if broken_ids:
-            # The pool is dead: every other in-flight future is doomed
-            # (or already holds a result).  Drain them so one PoolBroken
-            # event carries the full set to resubmit.
-            for future in list(self._futures):
-                chunk_id = self._futures.pop(future)
-                self._by_chunk.pop(chunk_id, None)
-                try:
-                    outcomes = future.result(timeout=10.0)
-                except Exception:
-                    broken_ids.append(chunk_id)
-                else:
-                    events.extend(self._chunk_events(chunk_id, outcomes))
-            self._teardown(kill=True)
-            events.append(PoolBroken(tuple(broken_ids)))
-        return events
-
-    def cancel(self, chunk_id: int) -> bool:
-        future = self._by_chunk.pop(chunk_id, None)
-        if future is None:
-            return False
-        self._futures.pop(future, None)
-        if not future.cancel():
-            # Already running: the worker may be hung on it.  Once no
-            # tracked work remains, terminate the workers so the sweep
-            # is not held hostage (old wave-expiry semantics).
-            self._needs_kill = True
-        if self._needs_kill and not self._futures:
-            self._teardown(kill=True)
-        return True
-
-    def cancel_pending(self, chunk_id: int) -> bool:
-        future = self._by_chunk.get(chunk_id)
-        if future is None or not future.cancel():
-            return False  # unknown or already picked up by a worker
-        self._by_chunk.pop(chunk_id, None)
-        self._futures.pop(future, None)
-        return True
-
-    def heartbeat(self) -> dict:
-        if self._pool is None:
-            return {}
-        try:
-            pids = sorted(
-                pid for pid, proc in (self._pool._processes or {}).items()
-                if proc.is_alive()
-            )
-        except Exception:
-            return {}
-        # Chunk placement inside the pool is the pool's own business, so
-        # ``inflight_chunk`` is unknowable here; liveness is implicit in
-        # the process being alive (age 0.0).
-        return {
-            str(pid): {"worker": str(pid), "age_s": 0.0,
-                       "inflight_chunk": None}
-            for pid in pids
-        }
-
-    def _teardown(self, kill: bool) -> None:
-        pool, self._pool = self._pool, None
-        self._needs_kill = False
-        if pool is None:
-            return
-        if kill:
-            _kill_pool_workers(pool)
-        pool.shutdown(wait=False, cancel_futures=True)
-
-    def shutdown(self, kill: bool = False) -> None:
-        self._futures.clear()
-        self._by_chunk.clear()
-        self._teardown(kill=kill)
-
-
-# ---------------------------------------------------------------------
-# Socket transport: 4-byte big-endian length prefix + pickled payload.
-
-_FRAME_HEADER_BYTES = 4
-_HB_INTERVAL_S = 0.25
-_SEND_TIMEOUT_S = 10.0
-
-
-def _send_frame(sock: socket.socket, obj, lock: threading.Lock | None = None):
-    """Serialise ``obj`` and write one length-prefixed frame."""
-    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    payload = len(data).to_bytes(_FRAME_HEADER_BYTES, "big") + data
-    if lock is None:
-        sock.sendall(payload)
-    else:
-        with lock:
-            sock.sendall(payload)
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
-    """Blocking read of exactly ``n`` bytes; None on EOF."""
-    buf = bytearray()
-    while len(buf) < n:
-        part = sock.recv(n - len(buf))
-        if not part:
-            return None
-        buf += part
-    return bytes(buf)
-
-
-def _recv_frame(sock: socket.socket):
-    """Blocking read of one frame; None on EOF."""
-    header = _recv_exact(sock, _FRAME_HEADER_BYTES)
-    if header is None:
-        return None
-    size = int.from_bytes(header, "big")
-    data = _recv_exact(sock, size)
-    if data is None:
-        return None
-    return pickle.loads(data)
-
-
-class _FrameBuffer:
-    """Reassembles frames from a non-blocking socket's byte stream."""
-
-    def __init__(self):
-        self._buf = bytearray()
-
-    def feed(self, data: bytes) -> list:
-        """Absorb ``data``; return every now-complete frame."""
-        self._buf += data
-        frames = []
-        while True:
-            if len(self._buf) < _FRAME_HEADER_BYTES:
-                break
-            size = int.from_bytes(self._buf[:_FRAME_HEADER_BYTES], "big")
-            end = _FRAME_HEADER_BYTES + size
-            if len(self._buf) < end:
-                break
-            frames.append(pickle.loads(bytes(self._buf[_FRAME_HEADER_BYTES:end])))
-            del self._buf[:end]
-        return frames
-
-
-def _socket_worker_main(host, port, worker_id, fn, policy, chaos,
-                        hb_interval):
-    """Entry point of one long-lived socket worker process.
-
-    Connects back to the controller, heartbeats from a daemon thread
-    (suppressed while chaos says this chunk drops heartbeats), and
-    streams ``task_result`` frames as the chunk progresses — with
-    chaos-injected duplicate and delayed frames when asked, so the
-    controller's at-most-once commit is exercised for real.
-
-    While observability is on, heartbeat frames piggyback a tiny
-    telemetry dict — the in-flight chunk id and tasks completed within
-    it — updated by the main loop and read by the beat thread (plain
-    dict-key stores, safe under the GIL).  ``REPRO_OBS=off`` drops the
-    piggyback entirely.
-    """
-    sock = socket.create_connection((host, port))
-    send_lock = threading.Lock()
-    suppress_hb = threading.Event()
-    stop = threading.Event()
-    telemetry_on = get_registry().enabled
-    progress = {"chunk": None, "done": 0}
-    _send_frame(sock, {"type": "hello", "worker": worker_id}, send_lock)
-
-    def _beat():
-        while not stop.wait(hb_interval):
-            if suppress_hb.is_set():
-                continue
-            frame = {"type": "hb", "worker": worker_id}
-            if telemetry_on:
-                frame["telemetry"] = dict(progress)
-            try:
-                _send_frame(sock, frame, send_lock)
-            except OSError:
-                return
-
-    threading.Thread(target=_beat, daemon=True).start()
+    for other in inherited:
+        other.close()
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         while True:
-            frame = _recv_frame(sock)
-            if frame is None or frame.get("type") == "shutdown":
+            request = conn.recv()
+            if request is None:
                 return
-            if frame.get("type") != "run":
-                continue
-            chunk_id = frame["chunk_id"]
-            entries = frame["entries"]
+            chunk_id, entries = request
+            conn.send(("started", chunk_id))
             first_index, first_base, _item = entries[0]
-            if chaos is not None and chaos.drops_heartbeat(
-                first_index, first_base
-            ):
-                suppress_hb.set()
-            _send_frame(
-                sock,
-                {"type": "started", "chunk_id": chunk_id,
-                 "worker": worker_id},
-                send_lock,
-            )
             if chaos is not None and chaos.hangs(first_index, first_base):
-                # The worker stalls *after* accepting the chunk while
-                # heartbeats keep flowing — only the chunk lease can
-                # notice; the controller cancels (kills) us and the
-                # chunk's rerun is clean (attempt bump consumes the
-                # decision).
+                # Stall *after* accepting the chunk: only the chunk lease
+                # can notice; the controller kills us and the chunk's
+                # rerun is clean (the attempt bump consumes the decision).
                 time.sleep(chaos.hang_s)
-            progress["chunk"] = chunk_id
-            progress["done"] = 0
-            for pos, (index, base, item) in enumerate(entries):
+            for index, base, item in entries:
                 outcome = _attempt_task(
                     fn, item, index, base, policy, chaos, in_worker=True,
                 )
                 if chaos is not None and chaos.delays_result(index, base):
                     time.sleep(chaos.frame_delay_s)
-                result = {
-                    "type": "task_result", "chunk_id": chunk_id,
-                    "worker": worker_id, "outcome": outcome,
-                }
-                _send_frame(sock, result, send_lock)
-                progress["done"] = pos + 1
+                conn.send(("task", chunk_id, outcome))
                 if chaos is not None and chaos.duplicates_result(index, base):
-                    _send_frame(sock, result, send_lock)
-            _send_frame(
-                sock,
-                {"type": "chunk_done", "chunk_id": chunk_id,
-                 "worker": worker_id},
-                send_lock,
-            )
-            progress["chunk"] = None
-            suppress_hb.clear()
-    except OSError:
-        pass
+                    conn.send(("task", chunk_id, outcome))
+            conn.send(("done", chunk_id))
+    except (EOFError, OSError):
+        pass  # the controller is gone
     finally:
-        stop.set()
-        try:
-            sock.close()
-        except OSError:
-            pass
+        conn.close()
 
 
-class SocketExecutor(Executor):
-    """Long-lived worker processes over localhost TCP.
+@dataclass
+class _Worker:
+    """The controller's record of one pool worker."""
 
-    The controller is single-threaded: a ``selectors`` loop accepts
-    worker connections and reassembles their frames inside
-    :meth:`poll`.  Liveness is judged *only* from heartbeat (and hello)
-    frames — result frames do not count — so a worker whose heartbeat
-    thread is muted is declared lost even while it is still streaming
-    results, which is exactly the failure the at-most-once commit must
-    absorb.  A lost worker's chunks requeue onto survivors, and — when
-    ``TaskPolicy.max_respawns`` allows — a replacement process is
-    spawned after ``respawn_backoff_s`` (same frame protocol, fresh
-    worker id, cold caches), so the sweep recovers full capacity
-    instead of only shrinking.  When the respawn budget is spent and no
-    worker is left the executor raises
+    id: int
+    proc: multiprocessing.process.BaseProcess
+    conn: object                 # controller end of the worker's pipe
+    last_seen: float             # monotonic time of its last message
+    chunk: int | None = None     # chunk placed on it, None when idle
+    tasks_done: int = 0          # task messages for that chunk
+
+
+class PoolExecutor(Executor):
+    """``jobs`` forked worker processes, each on its own pipe.
+
+    The controller is single-threaded: :meth:`poll` waits on every
+    worker's pipe and process sentinel at once
+    (:func:`multiprocessing.connection.wait`), turns messages into
+    events, and places queued chunks on idle workers.  A worker that
+    dies (sentinel, or EOF on its pipe) is reported as a
+    :class:`WorkerLost` after every message it sent before dying, so
+    its committed tasks stay committed and the scheduler requeues the
+    chunk onto a survivor.  Within ``TaskPolicy.max_respawns`` a lost
+    or cancelled worker is replaced after ``respawn_backoff_s`` (fresh
+    worker id, forked from the controller), so the sweep recovers full
+    capacity instead of only shrinking.  When no worker is left and the
+    respawn budget is spent the executor raises
     :class:`~repro.common.errors.ExecutorBrokenError` so the scheduler
-    degrades to the next backend.
+    degrades to ``inline``.
+
+    A worker that is alive but stuck sends nothing; the chunk lease
+    catches it and :meth:`cancel` kills it.
     """
 
-    name = "socket"
+    name = "local"
     supports_requeue = True
 
-    def __init__(self, *, hb_interval=_HB_INTERVAL_S, hb_timeout=None,
-                 **context):
+    def __init__(self, **context):
         super().__init__(**context)
-        self._hb_interval = hb_interval
-        self._hb_timeout = hb_timeout if hb_timeout is not None \
-            else hb_interval * 6.0
-        self._selector = selectors.DefaultSelector()
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind(("127.0.0.1", 0))
-        self._listener.listen(self._jobs)
-        self._listener.setblocking(False)
-        self._selector.register(self._listener, selectors.EVENT_READ,
-                                {"kind": "listener"})
-        self._addr = self._listener.getsockname()
-        self._ctx = multiprocessing.get_context()
-        self._procs: dict = {}       # worker_id -> Process
-        self._states: dict = {}      # worker_id -> connection state
-        self._last_hb: dict = {}     # worker_id -> monotonic timestamp
-        self._hb_meta: dict = {}     # worker_id -> piggybacked telemetry
-        self._busy: dict = {}        # worker_id -> chunk_id
-        self._assigned: dict = {}    # chunk_id -> worker_id
+        # Fork, not spawn: workers start from the controller's warm
+        # artifact cache, so they neither re-import the package nor
+        # re-factorize thermal models the controller already built.
+        self._ctx = multiprocessing.get_context("fork")
+        self._workers: dict[int, _Worker] = {}
         self._queue: deque = deque()  # (chunk_id, entries)
-        self._next_worker_id = self._jobs
+        self._next_worker_id = 0
         self._respawns_used = 0
-        self._max_respawns = max(0, getattr(
-            self._policy, "max_respawns", 0) or 0)
-        self._respawn_backoff = max(0.0, getattr(
-            self._policy, "respawn_backoff_s", 0.0) or 0.0)
         self._pending_spawns: list = []  # (due monotonic, replaced id)
         self._pending_events: list = []  # RespawnFailed queued for poll
-        for worker_id in range(self._jobs):
-            self._spawn_worker(worker_id)
+        for _ in range(self._jobs):
+            self._spawn_worker()
 
-    def _spawn_worker(self, worker_id: int) -> None:
-        host, port = self._addr
+    # -- worker lifecycle ----------------------------------------------
+    def _spawn_worker(self) -> int:
+        worker_id = self._next_worker_id
+        self._next_worker_id += 1
+        conn, child_conn = self._ctx.Pipe()
+        inherited = [w.conn for w in self._workers.values()] + [conn]
         proc = self._ctx.Process(
-            target=_socket_worker_main,
-            args=(host, port, worker_id, self._fn, self._policy,
-                  self._chaos, self._hb_interval),
+            target=_pool_worker_main,
+            args=(child_conn, inherited, self._fn, self._policy,
+                  self._chaos),
             daemon=True,
         )
-        proc.start()
-        self._procs[worker_id] = proc
+        try:
+            proc.start()
+        finally:
+            child_conn.close()
+        self._workers[worker_id] = _Worker(
+            worker_id, proc, conn, last_seen=time.monotonic()
+        )
+        return worker_id
 
-    def _schedule_respawn(self, replaced) -> None:
+    def _retire(self, worker: _Worker) -> None:
+        """Forget one worker and make sure its process is gone."""
+        self._workers.pop(worker.id, None)
+        worker.conn.close()
+        worker.proc.kill()
+        worker.proc.join(timeout=1.0)
+
+    def _schedule_respawn(self, replaced: int) -> None:
         """Book a replacement for a lost worker, if budget remains.
 
         The budget is consumed at scheduling time, so a chaos-vetoed
         respawn (``respawn-fail``) costs an attempt exactly like a real
         spawn failure would.
         """
-        if replaced is None or self._respawns_used >= self._max_respawns:
+        if self._respawns_used >= self._policy.max_respawns:
             return
         ordinal = self._respawns_used
         self._respawns_used += 1
@@ -898,7 +609,7 @@ class SocketExecutor(Executor):
             self._pending_events.append(
                 RespawnFailed(replaced=str(replaced), ordinal=ordinal))
             return
-        due = time.monotonic() + self._respawn_backoff
+        due = time.monotonic() + self._policy.respawn_backoff_s
         self._pending_spawns.append((due, replaced))
 
     def _spawn_due_replacements(self, events: list) -> None:
@@ -906,10 +617,8 @@ class SocketExecutor(Executor):
         for entry in [e for e in self._pending_spawns if e[0] <= now]:
             self._pending_spawns.remove(entry)
             _due, replaced = entry
-            worker_id = self._next_worker_id
-            self._next_worker_id += 1
             try:
-                self._spawn_worker(worker_id)
+                worker_id = self._spawn_worker()
             except OSError:
                 events.append(RespawnFailed(
                     replaced=str(replaced),
@@ -918,124 +627,65 @@ class SocketExecutor(Executor):
             events.append(WorkerRespawned(worker=str(worker_id),
                                           replaced=str(replaced)))
 
-    # -- wiring --------------------------------------------------------
-    def _accept(self) -> None:
-        try:
-            conn, _addr = self._listener.accept()
-        except OSError:
-            return
-        conn.settimeout(_SEND_TIMEOUT_S)
-        state = {"kind": "worker", "sock": conn, "buf": _FrameBuffer(),
-                 "worker": None}
-        self._selector.register(conn, selectors.EVENT_READ, state)
+    def _lose(self, worker: _Worker, events: list) -> None:
+        self._retire(worker)
+        chunk_ids = () if worker.chunk is None else (worker.chunk,)
+        events.append(WorkerLost(worker=str(worker.id), chunk_ids=chunk_ids,
+                                 reason="crash"))
+        self._schedule_respawn(worker.id)
 
-    def _drop_conn(self, state) -> None:
-        try:
-            self._selector.unregister(state["sock"])
-        except (KeyError, ValueError):
-            pass
-        try:
-            state["sock"].close()
-        except OSError:
-            pass
+    # -- message flow --------------------------------------------------
+    def _read(self, worker: _Worker, events: list) -> None:
+        """Turn every message waiting on ``worker``'s pipe into events.
 
-    def _kill_proc(self, worker_id) -> None:
-        proc = self._procs.pop(worker_id, None)
-        if proc is None:
-            return
+        Liveness is sampled *before* draining: a worker found dead has
+        already written everything it ever will, so the drain delivers
+        all of it before the loss is reported.
+        """
+        alive = worker.proc.is_alive()
         try:
-            proc.terminate()
-            proc.join(timeout=1.0)
-        except Exception:
-            pass
+            while worker.conn.poll():
+                self._handle(worker, worker.conn.recv(), events)
+        except (EOFError, OSError):
+            alive = False
+        if not alive:
+            self._lose(worker, events)
 
-    def _lose_worker(self, state, reason: str, events: list,
-                     silent: bool = False) -> None:
-        self._drop_conn(state)
-        worker_id = state.get("worker")
-        if worker_id is None:
-            return
-        self._states.pop(worker_id, None)
-        self._last_hb.pop(worker_id, None)
-        self._hb_meta.pop(worker_id, None)
-        self._kill_proc(worker_id)
-        chunk_id = self._busy.pop(worker_id, None)
-        chunk_ids = ()
-        if chunk_id is not None:
-            self._assigned.pop(chunk_id, None)
-            chunk_ids = (chunk_id,)
-        if not silent:
-            events.append(WorkerLost(worker=str(worker_id),
-                                     chunk_ids=chunk_ids, reason=reason))
-        self._schedule_respawn(worker_id)
-
-    def _read_worker(self, state, events: list) -> None:
-        try:
-            data = state["sock"].recv(65536)
-        except (OSError, socket.timeout):
-            data = b""
-        if not data:
-            self._lose_worker(state, "crash", events)
-            return
-        for frame in state["buf"].feed(data):
-            kind = frame.get("type")
-            if kind == "hello":
-                worker_id = frame["worker"]
-                state["worker"] = worker_id
-                self._states[worker_id] = state
-                self._last_hb[worker_id] = time.monotonic()
-            elif kind == "hb":
-                worker_id = frame["worker"]
-                self._last_hb[worker_id] = time.monotonic()
-                meta = frame.get("telemetry")
-                if meta:
-                    self._hb_meta[worker_id] = meta
-            elif kind == "started":
-                events.append(ChunkStarted(frame["chunk_id"],
-                                           worker=str(frame["worker"])))
-            elif kind == "task_result":
-                events.append(TaskDone(frame["chunk_id"], frame["outcome"],
-                                       worker=str(frame["worker"])))
-            elif kind == "chunk_done":
-                chunk_id = frame["chunk_id"]
-                self._busy.pop(frame["worker"], None)
-                self._assigned.pop(chunk_id, None)
-                events.append(ChunkDone(chunk_id))
+    def _handle(self, worker: _Worker, message: tuple, events: list) -> None:
+        worker.last_seen = time.monotonic()
+        kind, chunk_id = message[0], message[1]
+        if kind == "started":
+            events.append(ChunkStarted(chunk_id, worker=str(worker.id)))
+        elif kind == "task":
+            worker.tasks_done += 1
+            events.append(TaskDone(chunk_id, message[2],
+                                   worker=str(worker.id)))
+        elif kind == "done":
+            worker.chunk = None
+            worker.tasks_done = 0
+            events.append(ChunkDone(chunk_id))
 
     def _dispatch(self, events: list) -> None:
-        while self._queue:
-            idle = sorted(
-                worker_id for worker_id in self._states
-                if worker_id not in self._busy
-            )
-            if not idle:
+        for worker in sorted(self._workers.values(), key=lambda w: w.id):
+            if not self._queue:
                 return
-            worker_id = idle[0]
-            chunk_id, entries = self._queue.popleft()
-            state = self._states[worker_id]
-            try:
-                _send_frame(state["sock"], {
-                    "type": "run", "chunk_id": chunk_id, "entries": entries,
-                })
-            except (OSError, socket.timeout):
-                self._queue.appendleft((chunk_id, entries))
-                self._lose_worker(state, "crash", events)
+            if worker.chunk is not None:
                 continue
-            self._busy[worker_id] = chunk_id
-            self._assigned[chunk_id] = worker_id
+            chunk_id, entries = self._queue.popleft()
+            try:
+                worker.conn.send((chunk_id, entries))
+            except OSError:
+                self._queue.appendleft((chunk_id, entries))
+                self._lose(worker, events)
+                continue
+            worker.chunk = chunk_id
+            worker.tasks_done = 0
 
     def _check_capacity(self) -> None:
-        if not (self._queue or self._assigned):
-            return
-        if self._states:
-            return
-        if self._pending_spawns:
-            return  # a replacement is booked but not yet started
-        if any(proc.is_alive() for proc in self._procs.values()):
-            return  # spawned but not yet connected
-        raise ExecutorBrokenError(
-            "socket backend lost every worker", backend=self.name
-        )
+        if self._queue and not self._workers and not self._pending_spawns:
+            raise ExecutorBrokenError(
+                "local pool lost every worker", backend=self.name
+            )
 
     # -- Executor protocol ---------------------------------------------
     def submit_chunk(self, chunk_id: int, entries: Sequence) -> None:
@@ -1045,47 +695,42 @@ class SocketExecutor(Executor):
         events: list = list(self._pending_events)
         self._pending_events.clear()
         self._spawn_due_replacements(events)
-        budget = self._hb_interval
-        if timeout_s is not None:
-            budget = max(0.0, min(timeout_s, self._hb_interval))
-        for key, _mask in self._selector.select(budget):
-            if key.data["kind"] == "listener":
-                self._accept()
-            else:
-                self._read_worker(key.data, events)
-        now = time.monotonic()
-        for worker_id, last in list(self._last_hb.items()):
-            if now - last > self._hb_timeout:
-                state = self._states.get(worker_id)
-                if state is not None:
-                    self._lose_worker(state, "heartbeat", events)
         self._dispatch(events)
+        if not events and (self._workers or self._pending_spawns):
+            if self._pending_spawns:
+                due = min(d for d, _ in self._pending_spawns)
+                until = max(0.0, due - time.monotonic())
+                timeout_s = until if timeout_s is None \
+                    else min(timeout_s, until)
+            handles = {}
+            for worker in self._workers.values():
+                handles[worker.conn] = worker
+                handles[worker.proc.sentinel] = worker
+            ready = {handles[h].id: handles[h]
+                     for h in mp_connection.wait(list(handles), timeout_s)}
+            for worker_id in sorted(ready):
+                if worker_id in self._workers:
+                    self._read(ready[worker_id], events)
+            self._dispatch(events)
         if not events:
-            # Only declare the backend dead on a quiet poll: pending
-            # events (WorkerLost in particular) must reach the scheduler
-            # first so it can requeue and attribute the losses.
+            # Only declare the pool dead on a quiet poll: pending events
+            # (WorkerLost in particular) must reach the scheduler first
+            # so it can requeue and attribute the losses.
             self._check_capacity()
         return events
 
     def cancel(self, chunk_id: int) -> bool:
-        for queued in list(self._queue):
-            if queued[0] == chunk_id:
-                self._queue.remove(queued)
+        if self.cancel_pending(chunk_id):
+            return True
+        for worker in list(self._workers.values()):
+            if worker.chunk == chunk_id:
+                # The worker is hung on this chunk: kill it (scheduler-
+                # initiated, so no WorkerLost event) and let the requeue
+                # land on a survivor or a replacement.
+                self._retire(worker)
+                self._schedule_respawn(worker.id)
                 return True
-        worker_id = self._assigned.pop(chunk_id, None)
-        if worker_id is None:
-            return False
-        # The assigned worker is hung or silent on this chunk: kill it
-        # (scheduler-initiated, so no WorkerLost event) and let the
-        # requeue land on a survivor.
-        state = self._states.get(worker_id)
-        if state is not None:
-            self._lose_worker(state, "cancelled", [], silent=True)
-        else:
-            self._kill_proc(worker_id)
-            self._busy.pop(worker_id, None)
-            self._schedule_respawn(worker_id)
-        return True
+        return False
 
     def cancel_pending(self, chunk_id: int) -> bool:
         for queued in list(self._queue):
@@ -1096,46 +741,28 @@ class SocketExecutor(Executor):
 
     def heartbeat(self) -> dict:
         now = time.monotonic()
-        health = {}
-        for worker_id, last in self._last_hb.items():
-            meta = self._hb_meta.get(worker_id) or {}
-            inflight = meta.get("chunk")
-            if inflight is None:  # worker silent on placement: ask the
-                inflight = self._busy.get(worker_id)  # controller's book
-            entry = {"worker": str(worker_id), "age_s": now - last,
-                     "inflight_chunk": inflight}
-            if "done" in meta:
-                entry["tasks_done"] = meta["done"]
-            health[str(worker_id)] = entry
-        return health
+        return {
+            str(w.id): {"worker": str(w.id), "age_s": now - w.last_seen,
+                        "inflight_chunk": w.chunk,
+                        "tasks_done": w.tasks_done}
+            for w in self._workers.values()
+        }
 
     def shutdown(self, kill: bool = False) -> None:
-        for state in list(self._states.values()):
-            if not kill:
+        workers = list(self._workers.values())
+        if not kill:
+            for worker in workers:
                 try:
-                    _send_frame(state["sock"], {"type": "shutdown"})
-                except (OSError, socket.timeout):
+                    worker.conn.send(None)
+                except OSError:
                     pass
-            self._drop_conn(state)
-        self._states.clear()
-        self._last_hb.clear()
-        self._hb_meta.clear()
-        self._busy.clear()
-        self._assigned.clear()
+            for worker in workers:
+                worker.proc.join(timeout=1.0)
+        for worker in workers:
+            self._retire(worker)
         self._queue.clear()
         self._pending_spawns.clear()
         self._pending_events.clear()
-        for worker_id in list(self._procs):
-            self._kill_proc(worker_id)
-        try:
-            self._selector.unregister(self._listener)
-        except (KeyError, ValueError):
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        self._selector.close()
 
 
 # ---------------------------------------------------------------------
@@ -1143,8 +770,7 @@ class SocketExecutor(Executor):
 
 _EXECUTORS = {
     "inline": InlineExecutor,
-    "local": LocalPoolExecutor,
-    "socket": SocketExecutor,
+    "local": PoolExecutor,
 }
 
 _DEFAULT_EXECUTOR: str | None = None

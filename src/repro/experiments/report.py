@@ -132,7 +132,7 @@ def _render_markdown(data: dict) -> str:
         disturbed = [
             t for t in data["sweep_timings"]
             if t.get("failures") or t.get("retries") or t.get("timeouts")
-            or t.get("pool_rebuilds") or t.get("resumed_tasks")
+            or t.get("resumed_tasks")
             or t.get("degraded") or t.get("requeues")
             or t.get("lost_workers") or t.get("lease_expiries")
             or t.get("duplicate_results") or t.get("respawns")
@@ -143,11 +143,11 @@ def _render_markdown(data: dict) -> str:
             sections.append(format_table(
                 "Sweep resilience (failures, retries, recovery)",
                 ["sweep", "failures", "retries", "timeouts",
-                 "pool rebuilds", "respawns", "quarantined", "resumed",
+                 "lost workers", "respawns", "quarantined", "resumed",
                  "degraded"],
                 [
                     [t["label"], t.get("failures", 0), t.get("retries", 0),
-                     t.get("timeouts", 0), t.get("pool_rebuilds", 0),
+                     t.get("timeouts", 0), t.get("lost_workers", 0),
                      t.get("respawns", 0), len(t.get("quarantined") or ()),
                      t.get("resumed_tasks", 0),
                      "yes" if t.get("degraded") else "no"]
@@ -172,11 +172,11 @@ def _render_markdown(data: dict) -> str:
                 row = backends.setdefault(name, {
                     "sweeps": 0, "requeues": 0, "lost_workers": 0,
                     "lease_expiries": 0, "duplicate_results": 0,
-                    "pool_rebuilds": 0, "respawns": 0, "degraded": 0,
+                    "respawns": 0, "degraded": 0,
                 })
                 row["sweeps"] += 1
                 for key in ("requeues", "lost_workers", "lease_expiries",
-                            "duplicate_results", "pool_rebuilds", "respawns"):
+                            "duplicate_results", "respawns"):
                     row[key] += t.get(key, 0)
                 row["degraded"] += 1 if t.get("degraded") else 0
         if backends:
@@ -184,12 +184,12 @@ def _render_markdown(data: dict) -> str:
                 "Executor backends (per-backend resilience)",
                 ["backend", "sweeps", "requeues", "lost workers",
                  "lease expiries", "dup results dropped",
-                 "pool rebuilds", "respawns", "degraded sweeps"],
+                 "respawns", "degraded sweeps"],
                 [
                     [name, row["sweeps"], row["requeues"],
                      row["lost_workers"], row["lease_expiries"],
-                     row["duplicate_results"], row["pool_rebuilds"],
-                     row["respawns"], row["degraded"]]
+                     row["duplicate_results"], row["respawns"],
+                     row["degraded"]]
                     for name, row in sorted(backends.items())
                 ],
             ))
@@ -312,19 +312,24 @@ def generate_report(
     out_dir: str | Path,
     window: SimulationWindow | None = None,
     subset: tuple[str, ...] = _DEFAULT_SUBSET,
+    run_id: str | None = None,
 ) -> dict:
     """Run the report experiments and write ``results.json``/``results.md``.
+
+    Sweeps are recorded (and checkpointed) under ``run_id`` — the CLI
+    passes its own, so ``--metrics`` and ``--resume`` see the report's
+    sweeps.  Without one a fresh run begins, so a long-lived process
+    (test session, notebook) can generate several reports without one
+    run's sweeps leaking into the next — and without clearing a global
+    registry someone else may be reading.
 
     Returns the collected data dictionary.
     """
     window = window or SimulationWindow(warmup=3000, measured=10_000)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # Timings and metrics are scoped by run id, so a long-lived process
-    # (test session, notebook) can generate several reports without one
-    # run's sweeps leaking into the next — and without clearing a global
-    # registry someone else may be reading.
-    run_id = events.begin_run("report")
+    if run_id is None:
+        run_id = events.begin_run("report")
     data = _collect(window, subset)
     data["sweep_timings"] = engine.timing_summary(run_id)
     data["metrics"] = engine.run_metrics(run_id).as_dict()

@@ -4,10 +4,11 @@ Everything in :mod:`repro.obs` up to this module is *post-hoc*: per-task
 :class:`~repro.obs.metrics.MetricsSnapshot` deltas merge at sweep end
 into ``SweepTiming.metrics`` and render in a static report.  This module
 is the *while-it-runs* layer.  The experiment engine folds the telemetry
-that workers already piggyback on their heartbeat / ``TaskDone`` frames
-into a :class:`LiveStats` aggregator — tasks done/total, an ETA from a
-moving-window completion rate, per-worker health (last-heartbeat age,
-in-flight chunk, tasks completed), requeues, lease expiries — and three
+workers already send on their ``TaskDone`` messages, plus the executor's
+``heartbeat()`` view, into a :class:`LiveStats` aggregator — tasks
+done/total, an ETA from a moving-window completion rate, per-worker
+health (age of the last message, in-flight chunk, tasks completed),
+requeues, lease expiries — and three
 consumers sit on top:
 
 * **listeners** (:func:`add_listener`): callbacks invoked on every fold

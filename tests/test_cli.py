@@ -167,14 +167,16 @@ class TestResilience:
             seen["backend"] = engine.resolve_executor(None, 4)
 
         monkeypatch.setitem(cli._COMMANDS, "vias", _capture)
-        assert main(["vias", "--executor", "socket"]) == 0
-        assert seen["backend"] == "socket"
+        assert main(["vias", "--executor", "inline"]) == 0
+        assert seen["backend"] == "inline"
         # Restored on exit: auto selection again picks the pool.
         assert engine.resolve_executor(None, 4) == "local"
 
     def test_executor_flag_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["vias", "--executor", "carrier"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["vias", "--executor", "socket"])
 
     def test_manifest_records_executor(self, tmp_path, capsys, monkeypatch):
         manifest_path = tmp_path / "m.json"
@@ -234,6 +236,26 @@ class TestResilience:
         assert sweep["tasks"] == 4
         assert sweep["resumed_tasks"] == 4
         assert manifest2["metrics"] == manifest1["metrics"]
+
+    def test_report_manifest_matches_results(self, tmp_path, capsys):
+        """The report's sweeps run under the CLI's run id, so the
+        --metrics manifest and the checkpoint directory both cover
+        exactly what results.json reports."""
+        manifest_path = tmp_path / "m.json"
+        ck = tmp_path / "ck"
+        assert main([
+            "report", "--out", str(tmp_path / "out"), "--window", "2000",
+            "--jobs", "1", "--metrics", str(manifest_path),
+            "--checkpoint", str(ck),
+        ]) == 0
+        results = json.loads((tmp_path / "out" / "results.json").read_text())
+        manifest = json.loads(manifest_path.read_text())
+        assert results["sweep_timings"]
+        assert manifest["sweeps"] == results["sweep_timings"]
+        assert manifest["metrics"]["counters"]
+        assert manifest["metrics"]["counters"] == \
+            results["metrics"]["counters"]
+        assert [p.name for p in ck.iterdir()] == [manifest["run_id"]]
 
 
 class TestGcCommand:

@@ -1,11 +1,11 @@
-"""Pluggable executor backends and the backend-agnostic scheduler.
+"""Executor backends and the backend-agnostic scheduler.
 
 Covers backend selection precedence, per-backend equivalence to the
-serial path, socket-worker loss and heartbeat supervision (requeue onto
-survivors, no pool-level restart), transport chaos (duplicated and
-delayed result frames), the degradation chain, the at-most-once result
-commit (including a hypothesis interleaving property), the no-SIGALRM
-timeout fallback, truncated-checkpoint recovery, and gc hardening.
+serial path, pool-worker loss supervision (requeue onto survivors,
+no backend restart), transport chaos (duplicated and delayed result
+messages), the degradation chain, the at-most-once result commit
+(including a hypothesis interleaving property), the no-SIGALRM timeout
+fallback, truncated-checkpoint recovery, and gc hardening.
 """
 
 import dataclasses
@@ -27,8 +27,8 @@ from repro.experiments.chaos import ChaosPolicy
 from repro.experiments.engine import TaskPolicy, run_sweep
 from repro.experiments.executors import (
     InlineExecutor,
-    LocalPoolExecutor,
-    SocketExecutor,
+    PoolExecutor,
+    _TaskOutcome,
     make_executor,
     resolve_executor,
     set_default_executor,
@@ -72,8 +72,7 @@ def _bump_delta(x):
 
 
 def _slow_bump(x):
-    # Long enough that a chunk of three outlives the socket backend's
-    # heartbeat timeout (6 x 0.25s), so a muted worker is detectable.
+    # Slow enough that the controller sees the chunk in flight.
     time.sleep(0.65)
     return _bump_delta(x)
 
@@ -93,8 +92,10 @@ class TestSelection:
         monkeypatch.delenv(executors_mod.EXECUTOR_ENV_VAR, raising=False)
         assert resolve_executor(None, 1) == "inline"
         assert resolve_executor(None, 4) == "local"
-        monkeypatch.setenv(executors_mod.EXECUTOR_ENV_VAR, "socket")
-        assert resolve_executor(None, 1) == "socket"
+        monkeypatch.setenv(executors_mod.EXECUTOR_ENV_VAR, "local")
+        assert resolve_executor(None, 1) == "local"
+        set_default_executor("inline")
+        assert resolve_executor(None, 4) == "inline"  # default beats env
         set_default_executor("local")
         assert resolve_executor(None, 1) == "local"   # default beats env
         assert resolve_executor("inline", 8) == "inline"  # arg beats all
@@ -114,12 +115,11 @@ class TestSelection:
     def test_make_executor_builds_the_named_backend(self):
         context = dict(fn=_double, policy=TaskPolicy(), chaos=None)
         assert isinstance(make_executor("inline", **context), InlineExecutor)
-        assert isinstance(make_executor("local", **context), LocalPoolExecutor)
-        sock = make_executor("socket", **context)
+        pool = make_executor("local", **context)
         try:
-            assert isinstance(sock, SocketExecutor)
+            assert isinstance(pool, PoolExecutor)
         finally:
-            sock.shutdown(kill=True)
+            pool.shutdown(kill=True)
 
     def test_sweep_records_backend_name(self):
         _results, timing = run_sweep(_double, [1, 2], jobs=1)
@@ -130,37 +130,32 @@ class TestSelection:
 class TestTransportChaosParse:
     def test_parse_round_trip(self):
         policy = ChaosPolicy.parse(
-            "heartbeat-drop:0.2,result-dup:0.1,result-delay:0.3:0.02,seed:7"
+            "result-dup:0.1,result-delay:0.3:0.02,seed:7"
         )
-        assert policy.hb_drop_p == 0.2
         assert policy.dup_result_p == 0.1
         assert policy.frame_delay_p == 0.3
         assert policy.frame_delay_s == 0.02
-        assert ChaosPolicy.parse("hb-drop:0.5").hb_drop_p == 0.5
         assert ChaosPolicy.parse("dup:0.5").dup_result_p == 0.5
+        with pytest.raises(ConfigError):
+            ChaosPolicy.parse("heartbeat-drop:0.5")
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            ChaosPolicy(hb_drop_p=1.5)
         with pytest.raises(ConfigError):
             ChaosPolicy(dup_result_p=-0.1)
         with pytest.raises(ConfigError):
             ChaosPolicy(frame_delay_s=-1.0)
 
     def test_transport_faults_only_disturb_first_attempts(self):
-        policy = ChaosPolicy(hb_drop_p=1.0, dup_result_p=1.0,
-                             frame_delay_p=1.0)
-        assert policy.drops_heartbeat(0, 0)
+        policy = ChaosPolicy(dup_result_p=1.0, frame_delay_p=1.0)
         assert policy.duplicates_result(0, 0)
         assert policy.delays_result(0, 0)
-        assert not policy.drops_heartbeat(0, 1)
         assert not policy.duplicates_result(0, 1)
         assert not policy.delays_result(0, 1)
 
 
 # ---------------------------------------------------------------------
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("backend", ["inline", "local", "socket"])
+    @pytest.mark.parametrize("backend", ["inline", "local"])
     def test_results_and_metrics_match_serial(self, backend):
         clean, clean_t = run_sweep(_bump_delta, list(range(6)), jobs=1,
                                    record=False)
@@ -176,6 +171,9 @@ class TestBackendEquivalence:
 
 # ---------------------------------------------------------------------
 class TestSocketResilience:
+    """Worker-loss supervision on the pool: requeue onto survivors,
+    duplicate-result drops, and degradation to inline."""
+
     def test_worker_kill_requeues_without_pool_restart(self):
         # A chaos kill in exactly one chunk: the victim's chunk must
         # requeue onto the surviving worker — no backend restart, no
@@ -191,42 +189,15 @@ class TestSocketResilience:
                                    record=False)
         got, timing = run_sweep(
             _bump_delta, list(range(6)), jobs=2, chunksize=3,
-            executor="socket", record=False,
+            executor="local", record=False,
             chaos=ChaosPolicy(kill_p=0.3, seed=seed),
         )
         assert got == clean
         assert timing.lost_workers >= 1
         assert timing.requeues >= 1
-        assert timing.pool_rebuilds == 0
+        assert timing.backends == ["local"]
         assert not timing.degraded
         assert timing.failures == 0
-        assert timing.metrics.counters == clean_t.metrics.counters
-        assert timing.metrics.histograms == clean_t.metrics.histograms
-
-    def test_heartbeat_drop_is_detected_and_requeued(self):
-        # One chunk mutes its worker's heartbeats; the chunk is slow
-        # enough (3 x 0.65s > the 1.5s heartbeat timeout) that the
-        # controller declares the worker lost mid-chunk and requeues
-        # onto the survivor.  Results the muted worker already streamed
-        # race the rerun's copies — the at-most-once commit keeps them
-        # single-counted.
-        seed = next(
-            s for s in range(500)
-            if ChaosPolicy(hb_drop_p=0.5, seed=s).drops_heartbeat(0, 0)
-            and not ChaosPolicy(hb_drop_p=0.5, seed=s).drops_heartbeat(3, 0)
-        )
-        clean, clean_t = run_sweep(_slow_bump, list(range(6)), jobs=1,
-                                   record=False)
-        got, timing = run_sweep(
-            _slow_bump, list(range(6)), jobs=2, chunksize=3,
-            executor="socket", record=False,
-            chaos=ChaosPolicy(hb_drop_p=0.5, seed=seed),
-        )
-        assert got == clean
-        assert timing.lost_workers >= 1
-        assert timing.requeues >= 1
-        assert timing.pool_rebuilds == 0
-        assert not timing.degraded
         assert timing.metrics.counters == clean_t.metrics.counters
         assert timing.metrics.histograms == clean_t.metrics.histograms
 
@@ -235,7 +206,7 @@ class TestSocketResilience:
                                    record=False)
         got, timing = run_sweep(
             _bump_delta, list(range(6)), jobs=2, chunksize=3,
-            executor="socket", record=False,
+            executor="local", record=False,
             chaos=ChaosPolicy(dup_result_p=1.0, frame_delay_p=1.0,
                               frame_delay_s=0.01),
         )
@@ -246,20 +217,19 @@ class TestSocketResilience:
         assert timing.metrics.histograms == clean_t.metrics.histograms
 
     def test_losing_every_worker_degrades_down_the_chain(self):
-        # kill_p=1.0 takes out each socket worker on its first chunk;
-        # once none is left the backend raises and the scheduler hands
-        # the unfinished chunks to the local pool, which finishes.
+        # kill_p=1.0 takes out each pool worker on its first chunk;
+        # with no respawn budget the pool raises once none is left and
+        # the scheduler hands the unfinished chunks to inline.
         clean, _ = run_sweep(_double, [1, 2, 3, 4], jobs=1, record=False)
         got, timing = run_sweep(
             _double, [1, 2, 3, 4], jobs=2, chunksize=1,
-            executor="socket", record=False,
+            executor="local", record=False,
             chaos=ChaosPolicy(kill_p=1.0),
             policy=TaskPolicy(max_respawns=0),
         )
         assert got == clean
         assert timing.degraded
-        assert timing.backends[0] == "socket"
-        assert "local" in timing.backends
+        assert timing.backends == ["local", "inline"]
         assert timing.lost_workers >= 2
         assert timing.failures == 0
 
@@ -267,7 +237,7 @@ class TestSocketResilience:
         with pytest.raises(WorkerCrashError):
             run_sweep(
                 _double, [1, 2, 3, 4], jobs=2, chunksize=1,
-                executor="socket", record=False,
+                executor="local", record=False,
                 chaos=ChaosPolicy(kill_p=1.0),
                 policy=TaskPolicy(degrade_serial=False, max_respawns=0),
             )
@@ -300,28 +270,15 @@ class TestHeartbeatSchema:
         ex.shutdown()
 
     def test_local_reports_pool_pids(self):
-        ex = make_executor("local", fn=_double, policy=TaskPolicy(),
+        ex = make_executor("local", fn=_slow_bump, policy=TaskPolicy(),
                            chaos=None, jobs=2)
-        assert ex.heartbeat() == {}     # pool not built yet
         try:
-            ex.submit_chunk(0, [(0, 0, 1)])
-            deadline = time.monotonic() + 10.0
-            heartbeat = {}
-            while time.monotonic() < deadline and not heartbeat:
-                ex.poll(timeout_s=0.1)
-                heartbeat = ex.heartbeat()
-            assert heartbeat
+            # The pool forks its workers up front; both report idle.
+            heartbeat = ex.heartbeat()
+            assert sorted(heartbeat) == ["0", "1"]
             assert _schema_ok(heartbeat)
-            for worker, info in heartbeat.items():
-                assert worker == str(int(worker))   # OS pids
-                assert info["age_s"] == 0.0         # liveness is implicit
-        finally:
-            ex.shutdown(kill=True)
-
-    def test_socket_reports_ages_and_progress(self):
-        ex = make_executor("socket", fn=_slow_bump, policy=TaskPolicy(),
-                           chaos=None, jobs=2)
-        try:
+            assert all(info["inflight_chunk"] is None
+                       for info in heartbeat.values())
             ex.submit_chunk(0, [(0, 0, 1), (1, 0, 2)])
             deadline = time.monotonic() + 15.0
             seen_inflight = None
@@ -329,8 +286,7 @@ class TestHeartbeatSchema:
             while time.monotonic() < deadline:
                 events_.extend(ex.poll(timeout_s=0.1))
                 heartbeat = ex.heartbeat()
-                if heartbeat:
-                    assert _schema_ok(heartbeat)
+                assert _schema_ok(heartbeat)
                 busy = [info for info in heartbeat.values()
                         if info["inflight_chunk"] is not None]
                 if busy:
@@ -338,18 +294,20 @@ class TestHeartbeatSchema:
                 if any(isinstance(e, executors_mod.ChunkDone)
                        for e in events_):
                     break
+            # Placement comes from the controller's own records.
             assert seen_inflight is not None
             assert seen_inflight["inflight_chunk"] == 0
-            # The socket backend adds self-reported chunk progress.
             assert "tasks_done" in seen_inflight
+            assert all(info["inflight_chunk"] is None
+                       for info in ex.heartbeat().values())
         finally:
             ex.shutdown(kill=True)
 
 
 # ---------------------------------------------------------------------
 class TestFig6AcrossBackends:
-    """The PR's acceptance criterion: fig6 on every backend under
-    combined transport chaos is bit-identical to a clean serial run."""
+    """fig6 on every backend under combined kill and transport chaos is
+    bit-identical to a clean serial run."""
 
     _clean: dict = {}
 
@@ -365,7 +323,7 @@ class TestFig6AcrossBackends:
             cls._clean["metrics"] = engine.run_metrics(run)
         return cls._clean["rows"], cls._clean["metrics"]
 
-    @pytest.mark.parametrize("backend", ["inline", "local", "socket"])
+    @pytest.mark.parametrize("backend", ["inline", "local"])
     def test_transport_chaos_is_bit_identical_to_serial(self, backend):
         benchmarks = [get_profile(n) for n in ("gzip", "mcf")]
         n_tasks = len(benchmarks) * 4
@@ -377,7 +335,7 @@ class TestFig6AcrossBackends:
                     .duplicates_result(i, 0) for i in range(n_tasks))
         )
         chaos = ChaosPolicy(
-            kill_p=0.15, hb_drop_p=0.2, dup_result_p=0.5,
+            kill_p=0.15, dup_result_p=0.5,
             frame_delay_p=0.3, frame_delay_s=0.01, seed=seed,
         )
         clean_rows, clean_metrics = self._clean_run()
@@ -425,7 +383,7 @@ def test_any_result_interleaving_commits_at_most_once(n, order):
     for serial, i in enumerate(deliveries):
         # Duplicate deliveries of a committed key carry a *different*
         # payload, so a second commit would be visible in the results.
-        state.absorb(engine._TaskOutcome(
+        state.absorb(_TaskOutcome(
             index=i, ok=True, result=(i, serial), wall_s=0.001,
             metrics=MetricsSnapshot(counters={f"task.{i}": 1}),
             attempts=1,

@@ -90,7 +90,7 @@ def _snapshot(counter: int, gauge: float, values=()) -> MetricsSnapshot:
     return snap
 
 
-# -- module-level worker fns (must pickle into pool/socket workers) ----
+# -- module-level worker fns (must pickle into pool workers) -----------
 
 def _bump_live(x):
     m = metrics.get_registry()
@@ -179,7 +179,7 @@ class TestLiveStatsFold:
         assert stats.eta_s() == 0.0         # nothing remaining
 
     def test_as_row_shape(self):
-        stats = LiveStats("fig6", 8, run_id="run-1", backend="socket",
+        stats = LiveStats("fig6", 8, run_id="run-1", backend="local",
                           jobs=2)
         stats.fold_task(0, True, 0.1, None, worker="w0")
         row = stats.as_row()
@@ -236,7 +236,7 @@ class TestBackendBitIdentity:
     """The determinism contract: live totals == post-hoc merged metrics."""
 
     @pytest.mark.parametrize("backend,jobs", [
-        ("inline", 1), ("local", 2), ("socket", 2),
+        ("inline", 1), ("local", 2),
     ])
     def test_live_merge_bit_identical(self, backend, jobs):
         live_mod.add_listener(_noop_listener)
@@ -257,10 +257,10 @@ class TestBackendBitIdentity:
         assert stats.histograms["livetest.values"][1] == \
             list(timing.metrics.histograms["livetest.values"][1])
 
-    def test_worker_attribution_socket(self):
+    def test_worker_attribution_pool(self):
         live_mod.add_listener(_noop_listener)
         run_sweep(_bump_live, list(range(6)), jobs=2, label="attr",
-                  executor="socket", chunksize=1)
+                  executor="local", chunksize=1)
         stats = live_mod.current()
         assert sum(h.tasks_done for h in stats.workers.values()) == 6
         assert all(not h.lost for h in stats.workers.values())
@@ -294,7 +294,7 @@ class TestPrometheus:
     def test_render_with_active_sweep(self):
         live_mod.add_listener(_noop_listener)
         stats = live_mod.sweep_begin("fig6", 8, run_id="run-x",
-                                     backend="socket", jobs=2)
+                                     backend="local", jobs=2)
         stats.fold_task(0, True, 0.1, _snapshot(3, 1.5, values=(0.5, 9.0)),
                         worker="w0")
         stats.fold_heartbeat(
@@ -302,7 +302,7 @@ class TestPrometheus:
         body = render_prometheus()
         _assert_valid_exposition(body)
         assert ('repro_sweep_tasks_done{sweep="fig6",run_id="run-x",'
-                'backend="socket"} 1') in body
+                'backend="local"} 1') in body
         assert 'worker="w0"' in body
         assert "repro_metric_live_test_total" in body
         # Histogram: cumulative buckets, +Inf, and _count agree.
@@ -552,9 +552,9 @@ class TestEventFollower:
         stats = None
         stats = fold_event(stats, {
             "event": "sweep_begin", "ts": now, "label": "fig6",
-            "tasks": 4, "run_id": "r", "executor": "socket", "jobs": 2,
+            "tasks": 4, "run_id": "r", "executor": "local", "jobs": 2,
         })
-        assert stats.tasks_total == 4 and stats.backend == "socket"
+        assert stats.tasks_total == 4 and stats.backend == "local"
         stats = fold_event(stats, {"event": "task_done", "ts": now,
                                    "wall_s": 0.5, "worker": "w0"})
         stats = fold_event(stats, {"event": "task_failed", "ts": now})
@@ -634,7 +634,7 @@ class TestCliTailTop:
         now = time.time()
         records = [
             {"event": "sweep_begin", "ts": now, "run_id": "run-t",
-             "label": "fig6", "tasks": 2, "executor": "socket", "jobs": 2},
+             "label": "fig6", "tasks": 2, "executor": "local", "jobs": 2},
             {"event": "task_done", "ts": now, "run_id": "run-t",
              "label": "fig6", "task_index": 0, "wall_s": 0.5,
              "worker": "w0"},
@@ -667,7 +667,7 @@ class TestCliTailTop:
         path = self._write_run(tmp_path)
         assert main(["top", str(path), "--once"]) == 0
         out = capsys.readouterr().out
-        assert "fig6 · socket · jobs=2" in out
+        assert "fig6 · local · jobs=2" in out
         assert "2/2" in out
         assert "done" in out
 

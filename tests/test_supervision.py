@@ -1,16 +1,16 @@
 """Self-healing sweep supervision (worker respawn, poison quarantine,
 crash-consistent checkpoints, drains).
 
-Covers the PR 9 robustness layer end to end: the new supervision chaos
-kinds, the socket backend's respawn budget (and its chaos-vetoed
-failure path), worker-hang recovery through the chunk lease, poison-task
-bisection and quarantine with a *real* worker-killing task, the
-checkpoint durability policy (``REPRO_CKPT_FSYNC``), the atomic
-finalize marker, short-write chaos and resume convergence, graceful
-drains (``SIGTERM``), the partial report, a hypothesis interleaving
-property over the at-most-once commit, and two real-subprocess
-recovery tests (``kill -9`` mid-checkpoint-write, SIGTERM drain with
-``--resume``).
+Covers the robustness layer end to end: the supervision chaos kinds,
+the worker pool's respawn budget (and its chaos-vetoed failure path),
+worker-hang recovery through the chunk lease, poison-task bisection and
+quarantine with a *real* worker-killing task, the checkpoint durability
+policy (``REPRO_CKPT_FSYNC``), the atomic finalize marker, short-write
+chaos and resume convergence, graceful drains (``SIGTERM``), the
+partial report, a hypothesis interleaving property over the
+at-most-once commit, and real-subprocess recovery tests (``kill -9``
+mid-checkpoint-write, no pool worker outliving a killed controller,
+SIGTERM drain with ``--resume``).
 """
 
 import json
@@ -130,20 +130,20 @@ class TestSupervisionChaosParse:
 class TestRespawn:
     def test_respawn_keeps_sweep_on_socket(self):
         # Every first attempt kills its worker; with respawn budget the
-        # sweep completes on the socket backend itself (no degradation)
+        # sweep completes on the pool itself (no degradation)
         # and the replacements' reruns are attributed, so results and
         # metrics stay bit-identical to a clean serial run.
         clean, clean_t = run_sweep(_bump_delta, [1, 2, 3, 4], jobs=1,
                                    record=False)
         got, timing = run_sweep(
             _bump_delta, [1, 2, 3, 4], jobs=2, chunksize=1,
-            executor="socket", record=False,
+            executor="local", record=False,
             chaos=ChaosPolicy(kill_p=1.0),
             policy=TaskPolicy(max_respawns=8, respawn_backoff_s=0.0),
         )
         assert got == clean
         assert not timing.degraded
-        assert timing.backends == ["socket"]
+        assert timing.backends == ["local"]
         assert timing.respawns >= 1
         assert timing.lost_workers >= 1
         assert timing.failures == 0
@@ -151,18 +151,18 @@ class TestRespawn:
 
     def test_respawn_fail_chaos_exhausts_budget_and_degrades(self):
         # Chaos vetoes every replacement: the budget is spent without a
-        # single worker coming back, so the old degradation chain is the
-        # final fallback and the sweep still completes correctly.
+        # single worker coming back, so degrading to inline is the final
+        # fallback and the sweep still completes correctly.
         clean, _ = run_sweep(_double, [1, 2, 3, 4], jobs=1, record=False)
         got, timing = run_sweep(
             _double, [1, 2, 3, 4], jobs=2, chunksize=1,
-            executor="socket", record=False,
+            executor="local", record=False,
             chaos=ChaosPolicy(kill_p=1.0, respawn_fail_p=1.0),
             policy=TaskPolicy(max_respawns=4, respawn_backoff_s=0.0),
         )
         assert got == clean
         assert timing.degraded
-        assert timing.backends[0] == "socket"
+        assert timing.backends == ["local", "inline"]
         assert timing.respawn_failures >= 1
         assert timing.respawns == 0
         assert timing.failures == 0
@@ -171,14 +171,14 @@ class TestRespawn:
 # ---------------------------------------------------------------------
 class TestWorkerHang:
     def test_hung_worker_recovered_by_lease(self):
-        # The hang keeps heartbeats flowing, so only the chunk lease can
-        # catch it; the hung worker is cancelled, the chunk requeues with
+        # The hung worker stays alive, so only the chunk lease can catch
+        # it; the hung worker is killed, the chunk requeues with
         # the hang attributed (the rerun is injection-free), and a
         # replacement restores capacity.
         clean, _ = run_sweep(_double, [1, 2, 3, 4], jobs=1, record=False)
         got, timing = run_sweep(
             _double, [1, 2, 3, 4], jobs=2, chunksize=2,
-            executor="socket", record=False,
+            executor="local", record=False,
             chaos=ChaosPolicy(hang_p=1.0, hang_s=60.0),
             policy=TaskPolicy(timeout_s=0.3, respawn_backoff_s=0.0),
         )
@@ -198,7 +198,7 @@ class TestPoisonQuarantine:
         items = [1, 2, _POISON_VALUE, 4]
         got, timing = run_sweep(
             _poison, items, jobs=2, chunksize=2,
-            executor="socket", label="poison",
+            executor="local", label="poison",
             policy=TaskPolicy(fail_fast=False, max_respawns=16,
                               respawn_backoff_s=0.0),
         )
@@ -223,7 +223,7 @@ class TestPoisonQuarantine:
             try:
                 run_sweep(
                     _poison, [1, 2, _POISON_VALUE, 4], jobs=2, chunksize=2,
-                    executor="socket", record=False,
+                    executor="local", record=False,
                     policy=TaskPolicy(fail_fast=True, max_respawns=16,
                                       respawn_backoff_s=0.0),
                 )
@@ -478,6 +478,33 @@ def _wait_for_task_done(trace: Path, timeout_s: float = 60.0) -> None:
     raise AssertionError(f"no task_done event within {timeout_s}s")
 
 
+def _proc_stat(pid: int) -> tuple[str, int] | None:
+    """``(state, ppid)`` of a live process from ``/proc``; None once it
+    is gone.  The command name may hold spaces, so fields are read after
+    its closing parenthesis."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def _children(pid: int) -> list[int]:
+    found = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = _proc_stat(int(entry))
+            if stat is not None and stat[1] == pid:
+                found.append(int(entry))
+    return found
+
+
+def _running(pid: int) -> bool:
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"   # zombies have exited
+
+
 def _manifest_counters(path: Path) -> dict:
     manifest = json.loads(path.read_text())
     counters = dict(manifest["metrics"]["counters"])
@@ -545,11 +572,35 @@ class TestCrashRecoverySubprocess:
             l for l in clean.stdout.splitlines() if "gzip" in l
         ]
 
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="reads the process table from /proc")
+    def test_pool_workers_exit_when_controller_is_killed(self, tmp_path):
+        env = _cli_env(tmp_path)
+        proc, _ckpt_dir, trace = _spawn_fig6(
+            tmp_path, env, "--window", "20000"
+        )
+        try:
+            _wait_for_task_done(trace)
+            workers = _children(proc.pid)
+        finally:
+            # SIGKILL: the controller gets no chance to stop its pool.
+            proc.kill()
+            proc.wait(timeout=30)
+        assert len(workers) >= 2, workers
+        deadline = time.monotonic() + 15.0
+        while time.monotonic() < deadline \
+                and any(_running(pid) for pid in workers):
+            time.sleep(0.1)
+        survivors = [pid for pid in workers if _running(pid)]
+        for pid in survivors:     # do not leak them past the test
+            os.kill(pid, signal.SIGKILL)
+        assert survivors == []
+
     def test_sigterm_drains_exits_143_and_partial_report_renders(
             self, tmp_path):
         env = _cli_env(tmp_path)
         proc, ckpt_dir, trace = _spawn_fig6(
-            tmp_path, env, "--executor", "socket", "--window", "20000"
+            tmp_path, env, "--window", "20000"
         )
         try:
             _wait_for_task_done(trace)
@@ -583,7 +634,7 @@ class TestCrashRecoverySubprocess:
         resumed = subprocess.run(
             [sys.executable, "-m", "repro", "fig6",
              "--benchmarks", "gzip,mcf,mesa,art", "--window", "20000",
-             "--jobs", "2", "--executor", "socket",
+             "--jobs", "2",
              "--checkpoint", str(ckpt_dir), "--resume", run_id],
             env=env, cwd=tmp_path, capture_output=True, text=True,
             timeout=300,
