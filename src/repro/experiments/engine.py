@@ -52,7 +52,11 @@ Failure accounting (failures/retries/timeouts/lost workers) deliberately
 stays **out** of the merged metric snapshots and in dedicated
 :class:`SweepTiming` fields: the ``metrics`` section of a run manifest
 must stay bit-identical between a faulted-and-recovered run and a clean
-one, which it could not if recovery events were counted there.
+one, which it could not if recovery events were counted there.  Those
+fields are counted in one place: every fact the scheduler learns is an
+event record that :meth:`_SweepState.note` writes to the event sink and
+folds with :func:`repro.obs.live.fold_event` — the same fold ``repro
+top`` runs over the sink — and the counters are read off that fold.
 """
 
 from __future__ import annotations
@@ -272,7 +276,12 @@ def resolve_policy(policy: TaskPolicy | None = None) -> TaskPolicy:
 # ---------------------------------------------------------------------
 @dataclass
 class SweepTiming:
-    """Wall-clock and failure accounting of one sweep through the engine."""
+    """Wall-clock and failure accounting of one sweep through the engine.
+
+    The counter fields (one per :data:`repro.obs.live.SWEEP_COUNTERS`
+    row) are read off the sweep's event fold, never bumped directly;
+    ``quarantined`` holds the verdicts themselves.
+    """
 
     label: str
     jobs: int
@@ -357,20 +366,10 @@ def timing_summary(
             "cpu_s": round(t.cpu_s, 3),
             "wall_s": round(t.wall_s, 3),
             "speedup": round(t.speedup, 2),
-            "failures": t.failures,
-            "retries": t.retries,
-            "timeouts": t.timeouts,
-            "resumed_tasks": t.resumed_tasks,
             "degraded": t.degraded,
             "executor": t.executor,
             "backends": list(t.backends),
-            "requeues": t.requeues,
-            "lost_workers": t.lost_workers,
-            "lease_expiries": t.lease_expiries,
-            "duplicate_results": t.duplicate_results,
-            "respawns": t.respawns,
-            "respawn_failures": t.respawn_failures,
-            "bisections": t.bisections,
+            **{c.field: getattr(t, c.field) for c in live_mod.SWEEP_COUNTERS},
             "quarantined": list(t.quarantined),
         }
         if include_metrics:
@@ -474,9 +473,9 @@ class _SweepState:
         self.walls: list[float] = [0.0] * n
         self.snapshots: list[MetricsSnapshot | None] = [None] * n
         self.failures: list[TaskError] = []
-        # Live telemetry aggregate (None unless a consumer is attached;
-        # every use below is observation-only).
-        self.live: live_mod.LiveStats | None = None
+        # The sweep's accounting: every note() folds into it.  run_sweep's
+        # sweep_begin note replaces it with one that knows the backend.
+        self.live = live_mod.LiveStats(label, n, run_id=timing.run_id)
         # At-most-once commit: task keys whose slot is already decided.
         # A requeued chunk can race its slow original (or a chaos-
         # duplicated result frame can arrive twice) — the first commit
@@ -487,18 +486,45 @@ class _SweepState:
         """Whether the task at ``index`` already has a committed outcome."""
         return checkpoint_mod.task_key(self.tasks[index], index) in self.committed
 
-    def restore(self, entry: tuple[int, int, object]) -> bool:
-        """Fill one slot from the checkpoint; True when restored."""
+    def note(self, kind: str,
+             snapshots: dict[int, MetricsSnapshot] | None = None,
+             **fields) -> None:
+        """Record one sweep fact — the single accounting path.
+
+        Builds the event record once, writes it to the event sink, folds
+        it into the sweep's :class:`~repro.obs.live.LiveStats`, and reads
+        the counters off onto :class:`SweepTiming`.  ``snapshots`` (task
+        index -> metric snapshot) reach the fold only, never the sink.
+        """
+        record = events.event_record(
+            kind, run_id=self.timing.run_id, label=self.label, **fields
+        )
+        events.write(record)
+        self.live = live_mod.fold_event(self.live, record, snapshots)
+        for counter in live_mod.SWEEP_COUNTERS:
+            if counter.field != "quarantined":  # the timing keeps verdicts
+                setattr(self.timing, counter.field,
+                        getattr(self.live, counter.name))
+
+    def restore(self, chunk: list) -> bool:
+        """Commit a whole chunk from the checkpoint, or none of it.
+
+        A chunk re-runs whole unless every one of its tasks is
+        checkpointed, so a partly checkpointed chunk must leave no slot
+        committed — its re-run would otherwise commit as duplicates.
+        """
         if self.ckpt is None:
             return False
-        index, _base, item = entry
-        key = checkpoint_mod.task_key(item, index)
-        stored = self.ckpt.restore(key)
-        if stored is None:
-            return False
-        self.results[index], self.walls[index], self.snapshots[index] = stored
-        self.committed.add(key)
-        self.timing.resumed_tasks += 1
+        stored = []
+        for index, _base, item in chunk:
+            key = checkpoint_mod.task_key(item, index)
+            entry = self.ckpt.restore(key)
+            if entry is None:
+                return False
+            stored.append((index, key, entry))
+        for index, key, entry in stored:
+            self.results[index], self.walls[index], self.snapshots[index] = entry
+            self.committed.add(key)
         return True
 
     def absorb(self, outcome: _TaskOutcome, chunk_id: int | None = None,
@@ -517,20 +543,9 @@ class _SweepState:
         i = outcome.index
         key = checkpoint_mod.task_key(self.tasks[i], i)
         if key in self.committed:
-            self.timing.duplicate_results += 1
-            if self.live is not None:
-                self.live.note_duplicate()
-            events.emit(
-                "duplicate_result_dropped",
-                run_id=self.timing.run_id,
-                label=self.label,
-                task_index=i,
-                task_key=key,
-            )
+            self.note("duplicate_result_dropped", task_index=i, task_key=key)
             return
         self.committed.add(key)
-        self.timing.retries += outcome.retries
-        self.timing.timeouts += outcome.timeouts
         if outcome.ok:
             self.results[i] = outcome.result
             self.walls[i] = outcome.wall_s
@@ -547,12 +562,6 @@ class _SweepState:
                 )
             self._observe_commit(outcome, key, chunk_id, worker)
             return
-        self.timing.failures += 1
-        if self.live is not None:
-            self.live.fold_task(
-                i, False, 0.0, None, worker=worker,
-                retries=outcome.retries, timeouts=outcome.timeouts,
-            )
         message = (
             f"sweep {self.label!r} task {i} failed after "
             f"{outcome.attempts} attempt(s): {outcome.error}"
@@ -573,15 +582,16 @@ class _SweepState:
             kwargs["timeout_s"] = self.policy.timeout_s or 0.0
         error = cls(message, **kwargs)
         self.failures.append(error)
-        events.emit(
+        self.note(
             "task_failed",
-            run_id=self.timing.run_id,
-            label=self.label,
             task_index=i,
             task_key=key,
             attempts=outcome.attempts,
             error_kind=outcome.error_kind,
             error=outcome.error,
+            worker=worker,
+            retries=outcome.retries,
+            timeouts=outcome.timeouts,
         )
         if self.policy.fail_fast:
             raise SweepAbortedError(
@@ -595,16 +605,11 @@ class _SweepState:
         """Feed one committed success to the telemetry consumers.
 
         Observation-only by construction: reads the outcome, writes only
-        to the live aggregate, the trace collector, the profile
-        accumulator, and the event sink — never to sweep state.
+        to the trace collector, the profile accumulator, and the sweep's
+        event fold — never to sweep state.
         """
         i = outcome.index
         telemetry = outcome.telemetry or {}
-        if self.live is not None:
-            self.live.fold_task(
-                i, True, outcome.wall_s, outcome.metrics, worker=worker,
-                retries=outcome.retries, timeouts=outcome.timeouts,
-            )
         collector = export_mod.get_collector()
         if collector is not None and telemetry:
             collector.record(export_mod.TaskTrace(
@@ -622,13 +627,14 @@ class _SweepState:
         accumulator = profile_mod.get_accumulator()
         if accumulator is not None and telemetry.get("profile"):
             accumulator.fold(telemetry["profile"])
-        events.emit(
+        self.note(
             "task_done",
-            run_id=self.timing.run_id,
-            label=self.label,
+            snapshots={i: outcome.metrics},
             task_index=i,
             wall_s=round(outcome.wall_s, 6),
             worker=worker,
+            retries=outcome.retries,
+            timeouts=outcome.timeouts,
         )
 
     def quarantine(self, index: int, base: int, reason: str) -> None:
@@ -656,15 +662,8 @@ class _SweepState:
         })
         if self.ckpt is not None:
             self.ckpt.append_quarantine(key, index, repr(item)[:160], error)
-        if self.live is not None:
-            self.live.quarantined_task()
-        events.emit(
-            "task_quarantined",
-            run_id=self.timing.run_id,
-            label=self.label,
-            task_index=index,
-            task_key=key,
-            reason=reason,
+        self.note(
+            "task_quarantined", task_index=index, task_key=key, reason=reason,
         )
         self.absorb(_TaskOutcome(
             index=index,
@@ -789,7 +788,6 @@ def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
     (``[]`` on normal completion); raises :class:`WorkerCrashError`
     instead when ``policy.degrade_serial`` is off.
     """
-    timing = state.timing
     executor = executors_mod.make_executor(
         backend, fn=fn, policy=policy, chaos=chaos,
         jobs=max(1, min(jobs, len(chunks))),
@@ -836,7 +834,6 @@ def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
         # one bad task no longer costs every retry of its chunk-mates.
         chunk = outstanding.pop(chunk_id)
         leases.pop(chunk_id, None)
-        timing.bisections += 1
         mid = len(chunk) // 2
         deadline = None
         if policy.timeout_s is not None:
@@ -848,10 +845,8 @@ def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
             outstanding[half_id] = half
             leases[half_id] = deadline
             executor.submit_chunk(half_id, half)
-        events.emit(
+        state.note(
             "chunk_bisected",
-            run_id=timing.run_id,
-            label=state.label,
             chunk_id=chunk_id,
             reason=reason,
             halves=half_ids,
@@ -897,13 +892,8 @@ def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
                     ),
                 ))
             return
-        timing.requeues += 1
-        if state.live is not None:
-            state.live.requeued()
-        events.emit(
+        state.note(
             "chunk_requeued",
-            run_id=timing.run_id,
-            label=state.label,
             chunk_id=chunk_id,
             reason=reason,
             requeues=count,
@@ -920,8 +910,8 @@ def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
                 leases[event.chunk_id] = time.monotonic() + _wave_budget(
                     [outstanding[event.chunk_id]], policy
                 )
-            if state.live is not None:
-                state.live.chunk_started(event.chunk_id, event.worker)
+            state.note("chunk_started", chunk_id=event.chunk_id,
+                       worker=event.worker)
         elif isinstance(event, executors_mod.TaskDone):
             state.absorb(event.outcome, chunk_id=event.chunk_id,
                          worker=event.worker)
@@ -929,13 +919,8 @@ def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
             outstanding.pop(event.chunk_id, None)
             leases.pop(event.chunk_id, None)
         elif isinstance(event, executors_mod.WorkerLost):
-            timing.lost_workers += 1
-            if state.live is not None:
-                state.live.worker_lost(event.worker, event.reason)
-            events.emit(
+            state.note(
                 "worker_lost",
-                run_id=timing.run_id,
-                label=state.label,
                 backend=backend,
                 worker=event.worker,
                 reason=event.reason,
@@ -945,23 +930,15 @@ def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
                 if chunk_id in outstanding:
                     requeue_chunk(chunk_id, event.reason)
         elif isinstance(event, executors_mod.WorkerRespawned):
-            timing.respawns += 1
-            if state.live is not None:
-                state.live.respawned(event.worker)
-            events.emit(
+            state.note(
                 "worker_respawned",
-                run_id=timing.run_id,
-                label=state.label,
                 backend=backend,
                 worker=event.worker,
                 replaced=event.replaced,
             )
         elif isinstance(event, executors_mod.RespawnFailed):
-            timing.respawn_failures += 1
-            events.emit(
+            state.note(
                 "worker_respawn_failed",
-                run_id=timing.run_id,
-                label=state.label,
                 backend=backend,
                 replaced=event.replaced,
                 ordinal=event.ordinal,
@@ -984,10 +961,8 @@ def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
                     if executor.cancel_pending(chunk_id):
                         stranded_tasks += len(outstanding.pop(chunk_id))
                         leases.pop(chunk_id, None)
-                events.emit(
+                state.note(
                     "sweep_draining",
-                    run_id=timing.run_id,
-                    label=state.label,
                     reason=_DRAIN["reason"],
                     inflight_chunks=len(outstanding),
                     stranded_tasks=stranded_tasks,
@@ -998,22 +973,16 @@ def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
             armed = [d for d in leases.values() if d is not None]
             if armed:
                 wait_s = max(0.0, min(armed) - time.monotonic())
-            if state.live is not None and (wait_s is None or wait_s > 0.5):
-                # Live consumers need the loop back regularly for a
-                # heartbeat fold / renderer tick even when no lease is
-                # armed.
-                wait_s = 0.5
-            if wait_s is None or wait_s > 1.0:
+            if wait_s is None or wait_s > 0.5:
                 # Bounded wait so a drain request (SIGTERM) is noticed
-                # within a second even with no lease armed and no live
-                # consumer attached.
-                wait_s = 1.0
+                # and live consumers get a heartbeat tick at least twice
+                # a second, even with no lease armed.
+                wait_s = 0.5
             if draining:
                 wait_s = min(wait_s, 0.25)
             for event in executor.poll(wait_s):
                 handle_event(event)
-            if state.live is not None:
-                state.live.tick(executor)
+            state.live.tick(executor)
             if draining and outstanding \
                     and time.monotonic() >= drain_deadline:
                 # In-flight chunks outlived the drain timeout: give up
@@ -1030,13 +999,8 @@ def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
                 if chunk_id not in outstanding:
                     leases.pop(chunk_id, None)
                     continue
-                timing.lease_expiries += 1
-                if state.live is not None:
-                    state.live.lease_expired()
-                events.emit(
+                state.note(
                     "lease_expired",
-                    run_id=timing.run_id,
-                    label=state.label,
                     backend=backend,
                     chunk_id=chunk_id,
                     timeout_s=policy.timeout_s,
@@ -1060,7 +1024,7 @@ def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
                 f"{len(state.committed)}/{len(state.tasks)} task(s) "
                 f"committed, {stranded_tasks} stranded",
                 label=state.label,
-                run_id=timing.run_id,
+                run_id=state.timing.run_id,
                 completed=len(state.committed),
                 total=len(state.tasks),
                 stranded=stranded_tasks,
@@ -1103,10 +1067,8 @@ def _run_with_executors(fn, chunks, jobs, policy, chaos, state: _SweepState,
             return
         position += 1
         state.timing.degraded = True
-        events.emit(
+        state.note(
             "sweep_degraded",
-            run_id=state.timing.run_id,
-            label=state.label,
             backend=name,
             fallback=chain[position],
             remaining_tasks=sum(len(c) for c in pending),
@@ -1163,40 +1125,22 @@ def run_sweep(
     chunks = _chunked(entries, chunksize)
     ckpt = checkpoint_mod.open_sweep(label, run_id, chaos=chaos)
     state = _SweepState(tasks, label, policy, timing, ckpt)
-    # Chunk-granular restore: a chunk re-runs whole unless every one of
-    # its tasks is checkpointed (see repro.experiments.checkpoint).
-    pending_chunks = []
-    for chunk in chunks:
-        probe = timing.resumed_tasks
-        if all(state.restore(entry) for entry in chunk):
-            continue
-        timing.resumed_tasks = probe
-        pending_chunks.append(chunk)
+    # Chunk-granular restore (see repro.experiments.checkpoint).
+    pending_chunks = [chunk for chunk in chunks if not state.restore(chunk)]
     jobs = min(jobs, max(1, len(pending_chunks)))
     timing.jobs = jobs
     backend = resolve_executor(executor, jobs)
     timing.executor = backend
-    events.emit(
+    state.note(
         "sweep_begin",
-        run_id=run_id,
-        label=label,
+        # Only restored slots hold a snapshot yet.
+        snapshots=dict(enumerate(state.snapshots)),
         tasks=len(tasks),
         jobs=jobs,
         executor=backend,
-        resumed_tasks=timing.resumed_tasks,
+        resumed_tasks=len(state.committed),
     )
-    state.live = live_mod.sweep_begin(
-        label, len(tasks), run_id=run_id, backend=backend, jobs=jobs
-    )
-    if state.live is not None and timing.resumed_tasks:
-        # Checkpoint-restored slots are already committed; fold them so
-        # the live totals (and merged_metrics) cover the whole sweep.
-        for i in range(len(tasks)):
-            if state.is_committed(i):
-                state.live.fold_task(
-                    i, True, state.walls[i], state.snapshots[i],
-                    resumed=True,
-                )
+    live_mod.publish(state.live)
     start = time.perf_counter()
     try:
         if pending_chunks:
@@ -1207,19 +1151,15 @@ def run_sweep(
             # "this checkpoint is the full record" marker.
             ckpt.finalize(len(tasks), failures=timing.failures)
     except KeyboardInterrupt:
-        events.emit(
+        state.note(
             "sweep_interrupted",
-            run_id=run_id,
-            label=label,
             completed_tasks=sum(s is not None for s in state.snapshots),
             checkpointed=ckpt is not None,
         )
         raise
     except SweepDrainedError as exc:
-        events.emit(
+        state.note(
             "sweep_drained",
-            run_id=run_id,
-            label=label,
             reason=_DRAIN["reason"],
             completed_tasks=exc.completed,
             stranded_tasks=exc.stranded,
@@ -1235,27 +1175,17 @@ def run_sweep(
     # a fixed order keeps even float-valued span times reproducible for
     # a given worker count.
     timing.metrics = merge_snapshots(state.snapshots)
-    if state.live is not None:
-        live_mod.sweep_end(state.live)
+    state.note(
+        "sweep",
+        tasks=timing.tasks,
+        jobs=jobs,
+        wall_s=round(timing.wall_s, 3),
+        executor=backend,
+        **{c.field: getattr(state.live, c.name)
+           for c in live_mod.SWEEP_COUNTERS},
+    )
     if record:
         _TIMINGS.append(timing)
-        events.emit(
-            "sweep",
-            run_id=run_id,
-            label=label,
-            tasks=timing.tasks,
-            jobs=jobs,
-            wall_s=round(timing.wall_s, 3),
-            failures=timing.failures,
-            retries=timing.retries,
-            timeouts=timing.timeouts,
-            resumed_tasks=timing.resumed_tasks,
-            executor=backend,
-            requeues=timing.requeues,
-            lost_workers=timing.lost_workers,
-            respawns=timing.respawns,
-            quarantined=len(timing.quarantined),
-        )
     return state.results, timing
 
 

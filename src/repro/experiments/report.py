@@ -35,6 +35,7 @@ from repro.experiments.technology import (
 )
 from repro.experiments.thermal import fig4_thermal_sweep, thermal_variants
 from repro.obs import events
+from repro.obs import live as live_mod
 from repro.obs.tracing import flatten_spans
 from repro.workloads.profiles import get_profile
 
@@ -131,13 +132,8 @@ def _render_markdown(data: dict) -> str:
         ))
         disturbed = [
             t for t in data["sweep_timings"]
-            if t.get("failures") or t.get("retries") or t.get("timeouts")
-            or t.get("resumed_tasks")
-            or t.get("degraded") or t.get("requeues")
-            or t.get("lost_workers") or t.get("lease_expiries")
-            or t.get("duplicate_results") or t.get("respawns")
-            or t.get("respawn_failures") or t.get("bisections")
-            or t.get("quarantined")
+            if t.get("degraded")
+            or any(t.get(c.field) for c in live_mod.SWEEP_COUNTERS)
         ]
         if disturbed:
             sections.append(format_table(

@@ -11,8 +11,8 @@ Seven small modules, one switch:
   (flushed per line; ``REPRO_OBS_FSYNC`` adds fsync), and the per-run
   manifest written next to results;
 * :mod:`repro.obs.live` — the streaming side: the per-sweep
-  :class:`~repro.obs.live.LiveStats` aggregate the engine folds worker
-  telemetry into, the ``--progress=live`` renderer, the Prometheus
+  :class:`~repro.obs.live.LiveStats` accounting the engine folds every
+  sweep event record into, the ``--progress=live`` renderer, the Prometheus
   ``--metrics-port`` endpoint, and the event-stream follower behind
   ``repro tail`` / ``repro top``;
 * :mod:`repro.obs.export` — Chrome trace-event JSON export of a sweep's

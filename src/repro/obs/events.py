@@ -12,7 +12,7 @@ anything worth timestamping: run boundaries, sweep completions, manifest
 writes.  It is off unless :func:`set_sink` is given a path (the CLI's
 ``--trace-out``), and :func:`emit` is a cheap no-op while off.
 
-Flush policy: every :meth:`EventSink.emit` flushes its line so a
+Flush policy: every :meth:`EventSink.write` flushes its line so a
 concurrent follower (``repro tail``) and crash post-mortems see all
 complete recent events; a process killed mid-``write`` can still leave
 one torn trailing line, which followers must skip (and
@@ -46,6 +46,8 @@ __all__ = [
     "EventSink",
     "set_sink",
     "get_sink",
+    "event_record",
+    "write",
     "emit",
     "git_sha",
     "config_hash",
@@ -101,9 +103,8 @@ class EventSink:
         self._fsync = os.environ.get(FSYNC_ENV_VAR, "").strip().lower() in (
             "1", "true", "yes", "on")
 
-    def emit(self, kind: str, **fields) -> None:
+    def write(self, record: dict) -> None:
         """Append one event line (non-serialisable values become strings)."""
-        record = {"event": kind, "ts": round(time.time(), 6), **fields}
         self._fh.write(json.dumps(record, default=str) + "\n")
         self._fh.flush()
         if self._fsync:
@@ -127,10 +128,21 @@ def get_sink() -> EventSink | None:
     return _SINK
 
 
+def event_record(kind: str, **fields) -> dict:
+    """One event as the sink writes it: kind, wall-clock stamp, fields."""
+    return {"event": kind, "ts": round(time.time(), 6), **fields}
+
+
+def write(record: dict) -> None:
+    """Write a built event record to the active sink (no-op when none)."""
+    if _SINK is not None:
+        _SINK.write(record)
+
+
 def emit(kind: str, **fields) -> None:
     """Emit an event to the active sink (no-op when none is set)."""
     if _SINK is not None:
-        _SINK.emit(kind, **fields)
+        _SINK.write(event_record(kind, **fields))
 
 
 # ---------------------------------------------------------------------

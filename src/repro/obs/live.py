@@ -1,15 +1,27 @@
-"""Live sweep telemetry: streaming aggregation, renderers, and scraping.
+"""Live sweep telemetry: one accounting fold, renderers, and scraping.
 
 Everything in :mod:`repro.obs` up to this module is *post-hoc*: per-task
 :class:`~repro.obs.metrics.MetricsSnapshot` deltas merge at sweep end
 into ``SweepTiming.metrics`` and render in a static report.  This module
-is the *while-it-runs* layer.  The experiment engine folds the telemetry
-workers already send on their ``TaskDone`` messages, plus the executor's
-``heartbeat()`` view, into a :class:`LiveStats` aggregator — tasks
-done/total, an ETA from a moving-window completion rate, per-worker
-health (age of the last message, in-flight chunk, tasks completed),
-requeues, lease expiries — and three
-consumers sit on top:
+is the *while-it-runs* layer, and it owns the sweep's accounting.
+
+Every fact the engine's scheduler learns — a task committed or failed, a
+chunk started, requeued or bisected, a worker lost or respawned, a lease
+expired, a duplicate dropped, a task quarantined — becomes one event
+record.  The engine writes the record to the JSONL sink (when one is
+set) and folds it with :func:`fold_event` into the sweep's
+:class:`LiveStats`: tasks done/total, an ETA from a moving-window
+completion rate, per-worker health (in-flight chunk, tasks completed,
+age of the last message) and the counters of :data:`SWEEP_COUNTERS`.
+``SweepTiming``'s counters are read off that fold, and ``repro top``
+folds the same records back from the sink, so the in-process view, the
+follower and the run manifest cannot disagree.  A task's metric
+snapshot rides into the fold as a keyword argument and never reaches
+the sink.
+
+The stats are always built.  Only publication is gated: with a consumer
+registered and observability on (not ``REPRO_OBS=off``),
+:func:`publish` exposes them to three consumers —
 
 * **listeners** (:func:`add_listener`): callbacks invoked on every fold
   and poll tick.  :class:`LiveRenderer` is the built-in one — the CLI's
@@ -20,25 +32,21 @@ consumers sit on top:
   ``http.server`` daemon thread serving ``GET /metrics`` in text
   exposition format — live sweep gauges, per-worker heartbeat ages, and
   the sweep's folded counters/histograms — scrapeable mid-sweep;
-* an **event follower** (:class:`EventFollower`, :func:`fold_event`):
-  reconstructs ``LiveStats`` from another process's JSONL event stream
-  (the ``--trace-out`` sink), which is what ``repro tail`` and
-  ``repro top`` run on.  The follower only consumes complete lines — a
-  partially-written trailing line is left buffered until its newline
-  arrives (the same torn-line discipline as checkpoint restore).
+* :func:`current`, the most recent published sweep.
 
-Determinism contract: live aggregation is **observation-only**.  The
-incremental fold uses the same commutative/associative merge operations
-as :meth:`MetricsSnapshot.merge` (counters sum, gauges max, histograms
-bucket-wise), so the displayed totals are order-independent; and the
-per-task snapshots are additionally kept by index so
-:meth:`LiveStats.merged_metrics` replays the exact submission-order
-merge — bit-identical to the sweep's final ``SweepTiming.metrics``,
-float-valued span times included.
+An **event follower** (:class:`EventFollower`) reads another process's
+sink for ``repro tail`` and ``repro top``.  It only consumes complete
+lines — a partially-written trailing line is left buffered until its
+newline arrives (the same torn-line discipline as checkpoint restore).
 
-``REPRO_OBS=off`` (or no consumer being registered) makes
-:func:`sweep_begin` return ``None`` and the engine skips every live
-call — the streaming path then costs one ``is None`` test per event.
+Determinism contract: the fold is **observation-only** — no scheduling
+decision reads it.  The incremental metric fold uses the same
+commutative/associative merge operations as :meth:`MetricsSnapshot.merge`
+(counters sum, gauges max, histograms bucket-wise), so the displayed
+totals are order-independent; and the per-task snapshots are
+additionally kept by index so :meth:`LiveStats.merged_metrics` replays
+the exact submission-order merge — bit-identical to the sweep's final
+``SweepTiming.metrics``, float-valued span times included.
 """
 
 from __future__ import annotations
@@ -51,18 +59,21 @@ import time
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.obs import metrics as metrics_mod
 from repro.obs.metrics import MetricsSnapshot, merge_snapshots
 
 __all__ = [
     "METRICS_PORT_ENV_VAR",
+    "SweepCounter",
+    "SWEEP_COUNTERS",
     "WorkerHealth",
     "LiveStats",
     "add_listener",
     "remove_listener",
     "telemetry_active",
-    "sweep_begin",
+    "publish",
     "current",
     "LiveRenderer",
     "MetricsServer",
@@ -109,8 +120,58 @@ class WorkerHealth:
         }
 
 
+class SweepCounter(NamedTuple):
+    """One sweep counter: where it lives and which event counts it.
+
+    ``name`` is the :class:`LiveStats` attribute, the ``as_row`` key and
+    the ``repro_sweep_<name>`` gauge; ``field`` the ``SweepTiming``
+    attribute and the key in manifest ``sweeps`` rows and the ``sweep``
+    event; ``event`` the event kind of which each record adds one.
+    """
+
+    name: str
+    field: str
+    event: str | None
+    help: str
+
+
+#: The sweep counter set.  The three with no event ride on records as
+#: fields: ``retries`` and ``timeouts`` on every ``task_done`` /
+#: ``task_failed``, ``resumed_tasks`` on ``sweep_begin``.
+SWEEP_COUNTERS: tuple[SweepCounter, ...] = (
+    SweepCounter("failures", "failures", "task_failed",
+                 "Tasks that exhausted every attempt."),
+    SweepCounter("resumed", "resumed_tasks", None,
+                 "Tasks restored from a checkpoint."),
+    SweepCounter("retries", "retries", None,
+                 "Failed attempts retried in place."),
+    SweepCounter("timeouts", "timeouts", None,
+                 "Attempts killed by the per-task timeout."),
+    SweepCounter("requeues", "requeues", "chunk_requeued",
+                 "Chunks requeued after worker loss or lease expiry."),
+    SweepCounter("lost_workers", "lost_workers", "worker_lost",
+                 "Workers declared dead."),
+    SweepCounter("lease_expiries", "lease_expiries", "lease_expired",
+                 "Chunk leases expired at the controller."),
+    SweepCounter("duplicate_results", "duplicate_results",
+                 "duplicate_result_dropped",
+                 "Late or duplicated commits dropped."),
+    SweepCounter("respawns", "respawns", "worker_respawned",
+                 "Replacement workers spawned after a loss."),
+    SweepCounter("respawn_failures", "respawn_failures",
+                 "worker_respawn_failed",
+                 "Replacement workers that failed to come up."),
+    SweepCounter("bisections", "bisections", "chunk_bisected",
+                 "Chunks split while isolating a poison task."),
+    SweepCounter("quarantined", "quarantined", "task_quarantined",
+                 "Tasks quarantined as poisonous."),
+)
+
+_COUNTED_BY = {c.event: c.name for c in SWEEP_COUNTERS if c.event}
+
+
 class LiveStats:
-    """Streaming aggregate of one running sweep.
+    """Streaming aggregate of one sweep, built by :func:`fold_event`.
 
     Fold order does not matter: every incremental operation (counter
     sum, gauge max, histogram bucket add, completion count) is
@@ -130,18 +191,10 @@ class LiveStats:
         self.tasks_total = total
         self.tasks_done = 0       # committed outcomes (ok + failed)
         self.tasks_ok = 0
-        self.failures = 0
-        self.resumed = 0
-        self.retries = 0
-        self.timeouts = 0
-        self.requeues = 0
-        self.lost_workers = 0
-        self.lease_expiries = 0
-        self.duplicate_results = 0
-        self.respawns = 0
-        self.quarantined = 0
+        for counter in SWEEP_COUNTERS:
+            setattr(self, counter.name, 0)
         self.finished = False
-        self.task_wall_s = 0.0
+        self.published = False    # visible to listeners and /metrics
         self.started_mono = time.monotonic()
         self.started_unix = time.time()
         self.workers: dict[str, WorkerHealth] = {}
@@ -153,31 +206,6 @@ class LiveStats:
         self._snapshots: dict[int, MetricsSnapshot] = {}
         self._window: deque = deque(maxlen=_RATE_WINDOW)
         self._last_hb_fold = 0.0
-
-    # -- folds (called by the engine controller) -----------------------
-    def fold_task(self, index: int, ok: bool, wall_s: float,
-                  snapshot: MetricsSnapshot | None, worker: str = "",
-                  retries: int = 0, timeouts: int = 0,
-                  resumed: bool = False) -> None:
-        """Absorb one committed task outcome (or checkpoint restore)."""
-        self.tasks_done += 1
-        self.retries += retries
-        self.timeouts += timeouts
-        if ok:
-            self.tasks_ok += 1
-            self.task_wall_s += wall_s
-        else:
-            self.failures += 1
-        if resumed:
-            self.resumed += 1
-        else:
-            self._window.append(time.monotonic())
-        if snapshot is not None:
-            self._snapshots[index] = snapshot
-            self._fold_snapshot(snapshot)
-        if worker:
-            self._worker(worker).tasks_done += 1
-        _notify("task", self)
 
     def _fold_snapshot(self, snap: MetricsSnapshot) -> None:
         for name, value in snap.counters.items():
@@ -200,37 +228,6 @@ class LiveStats:
             health = self.workers[worker] = WorkerHealth(worker)
         return health
 
-    def chunk_started(self, chunk_id: int, worker: str) -> None:
-        if worker:
-            self._worker(worker).inflight_chunk = chunk_id
-
-    def worker_lost(self, worker: str, reason: str) -> None:
-        self.lost_workers += 1
-        if worker:
-            health = self._worker(worker)
-            health.lost = reason
-            health.inflight_chunk = None
-        _notify("worker_lost", self)
-
-    def requeued(self) -> None:
-        self.requeues += 1
-
-    def lease_expired(self) -> None:
-        self.lease_expiries += 1
-
-    def note_duplicate(self) -> None:
-        self.duplicate_results += 1
-
-    def respawned(self, worker: str) -> None:
-        self.respawns += 1
-        if worker:
-            self._worker(worker)  # the replacement shows up immediately
-        _notify("respawn", self)
-
-    def quarantined_task(self) -> None:
-        self.quarantined += 1
-        _notify("quarantine", self)
-
     def fold_heartbeat(self, heartbeat: dict) -> None:
         """Absorb one normalized ``Executor.heartbeat()`` mapping."""
         for worker, info in heartbeat.items():
@@ -239,7 +236,13 @@ class LiveStats:
             health.inflight_chunk = info.get("inflight_chunk")
 
     def tick(self, executor=None) -> None:
-        """One engine poll-loop tick: throttled heartbeat fold + notify."""
+        """One engine poll-loop tick: throttled heartbeat fold + notify.
+
+        A no-op unless the stats are published — heartbeats only feed
+        the dashboard and the metrics endpoint.
+        """
+        if not self.published:
+            return
         now = time.monotonic()
         if executor is not None and now - self._last_hb_fold >= _HB_FOLD_INTERVAL_S:
             self._last_hb_fold = now
@@ -248,10 +251,6 @@ class LiveStats:
             except Exception:
                 pass  # observation-only: a backend mid-teardown is fine
         _notify("tick", self)
-
-    def end(self) -> None:
-        self.finished = True
-        _notify("sweep_end", self)
 
     # -- derived views -------------------------------------------------
     def rate(self) -> float:
@@ -301,16 +300,7 @@ class LiveStats:
             "tasks_total": self.tasks_total,
             "tasks_done": self.tasks_done,
             "tasks_ok": self.tasks_ok,
-            "failures": self.failures,
-            "resumed": self.resumed,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "requeues": self.requeues,
-            "lost_workers": self.lost_workers,
-            "lease_expiries": self.lease_expiries,
-            "duplicate_results": self.duplicate_results,
-            "respawns": self.respawns,
-            "quarantined": self.quarantined,
+            **{c.name: getattr(self, c.name) for c in SWEEP_COUNTERS},
             "elapsed_s": round(self.elapsed_s(), 3),
             "rate_per_s": round(self.rate(), 3),
             "eta_s": None if eta is None else round(eta, 1),
@@ -322,7 +312,7 @@ class LiveStats:
 
 
 # ---------------------------------------------------------------------
-# Listener bus + engine attachment point.
+# Listener bus + publication.
 
 _LISTENERS: list = []
 _ACTIVE: LiveStats | None = None
@@ -333,9 +323,11 @@ _RUN_TOTALS = {"sweeps": 0, "tasks_done": 0, "failures": 0}
 def add_listener(listener) -> None:
     """Register a ``listener(kind, stats)`` callback for live updates.
 
-    ``kind`` is ``"begin"``, ``"task"``, ``"tick"``, ``"worker_lost"``,
-    ``"respawn"``, ``"quarantine"``, or ``"sweep_end"``.  Listener
-    exceptions are swallowed — rendering must never disturb a sweep.
+    ``kind`` is ``"begin"`` when a sweep is published, ``"tick"`` on the
+    engine's poll ticks, and otherwise the kind of the event record just
+    folded (``"task_done"``, ``"worker_lost"``, …; ``"sweep"`` ends the
+    sweep).  Listener exceptions are swallowed — rendering must never
+    disturb a sweep.
     """
     if listener not in _LISTENERS:
         _LISTENERS.append(listener)
@@ -362,34 +354,26 @@ def telemetry_active() -> bool:
     return bool(_LISTENERS or _SERVER is not None)
 
 
-def sweep_begin(label: str, total: int, run_id: str = "",
-                backend: str = "", jobs: int = 1) -> LiveStats | None:
-    """Begin live aggregation for one sweep, or ``None`` when inactive.
+def publish(stats: LiveStats) -> bool:
+    """Expose one sweep's stats to listeners, :func:`current` and the
+    metrics endpoint; returns whether it was published.
 
-    Inactive means no consumer is registered (no listener, no metrics
-    server) or observability is off (``REPRO_OBS=off``) — the engine
-    then skips every live call, keeping the streaming path at its
-    near-zero disabled cost.
+    Publication needs a consumer (a listener or the metrics server) and
+    observability on (not ``REPRO_OBS=off``).  Unpublished stats still
+    count — they are the sweep's accounting — but notify no one.
     """
     global _ACTIVE
     if not telemetry_active() or not metrics_mod.enabled():
-        return None
-    stats = LiveStats(label, total, run_id=run_id, backend=backend, jobs=jobs)
+        return False
+    stats.published = True
     _ACTIVE = stats
     _RUN_TOTALS["sweeps"] += 1
     _notify("begin", stats)
-    return stats
-
-
-def sweep_end(stats: LiveStats) -> None:
-    """Finish one sweep's live aggregation (stats stay scrapeable)."""
-    _RUN_TOTALS["tasks_done"] += stats.tasks_done
-    _RUN_TOTALS["failures"] += stats.failures
-    stats.end()
+    return True
 
 
 def current() -> LiveStats | None:
-    """The most recent live sweep's stats (kept after it finishes)."""
+    """The most recent published sweep's stats (kept after it finishes)."""
     return _ACTIVE
 
 
@@ -417,7 +401,7 @@ class LiveRenderer:
 
     def __call__(self, kind: str, stats: LiveStats) -> None:
         now = time.monotonic()
-        if kind not in ("begin", "sweep_end") and \
+        if kind not in ("begin", "sweep") and \
                 now - self._last < self._interval:
             return
         self._last = now
@@ -430,7 +414,7 @@ class LiveRenderer:
             if self._frame_lines:
                 self._stream.write(f"\x1b[{self._frame_lines}F\x1b[J")
             self._stream.write(text + "\n")
-            self._frame_lines = 0 if kind == "sweep_end" else lines
+            self._frame_lines = 0 if kind == "sweep" else lines
         else:
             eta = row["eta_s"]
             self._stream.write(
@@ -490,16 +474,7 @@ def render_prometheus() -> str:
         ("tasks_total", "Tasks submitted to the sweep."),
         ("tasks_done", "Tasks with a committed outcome."),
         ("tasks_ok", "Tasks that committed successfully."),
-        ("failures", "Tasks that exhausted every attempt."),
-        ("resumed", "Tasks restored from a checkpoint."),
-        ("retries", "Failed attempts retried in place."),
-        ("timeouts", "Attempts killed by the per-task timeout."),
-        ("requeues", "Chunks requeued after worker loss or lease expiry."),
-        ("lost_workers", "Workers declared dead."),
-        ("lease_expiries", "Chunk leases expired at the controller."),
-        ("duplicate_results", "Late or duplicated commits dropped."),
-        ("respawns", "Replacement workers spawned after a loss."),
-        ("quarantined", "Tasks quarantined as poisonous."),
+        *((c.name, c.help) for c in SWEEP_COUNTERS),
         ("elapsed_s", "Seconds since the sweep began."),
         ("rate_per_s", "Moving-window completion rate."),
     )
@@ -720,12 +695,18 @@ def _window_stamp(stats: LiveStats, record: dict) -> None:
         stats._window.append(time.monotonic() - (time.time() - float(ts)))
 
 
-def fold_event(stats: LiveStats | None, record: dict) -> LiveStats | None:
-    """Fold one sink event into a follower-side :class:`LiveStats`.
+def fold_event(stats: LiveStats | None, record: dict,
+               snapshots: dict[int, MetricsSnapshot] | None = None,
+               ) -> LiveStats | None:
+    """Fold one sweep event record into a :class:`LiveStats`.
 
-    Returns the (possibly new) stats object: a ``sweep_begin`` event
-    starts a fresh aggregate, everything else updates the current one.
-    Events that carry no live information pass through unchanged.
+    The only code that counts sweep facts: the engine folds every record
+    it emits, and ``repro top`` folds the same records back from the
+    sink.  Returns the (possibly new) stats object: a ``sweep_begin``
+    record starts a fresh aggregate, everything else updates the current
+    one; records that carry no sweep fact pass through unchanged.
+    ``snapshots`` maps task index to the metric snapshot the record
+    commits — in-process only, the sink never carries them.
     """
     kind = record.get("event")
     if kind == "sweep_begin":
@@ -736,46 +717,45 @@ def fold_event(stats: LiveStats | None, record: dict) -> LiveStats | None:
             backend=record.get("executor", ""),
             jobs=int(record.get("jobs", 1)),
         )
-        return stats
+        # Checkpoint-restored slots are committed before the sweep runs.
+        stats.resumed = int(record.get("resumed_tasks", 0))
+        stats.tasks_done = stats.tasks_ok = stats.resumed
     if stats is None:
         return None
-    if kind == "task_done":
+    worker = str(record.get("worker", "") or "")
+    if kind in ("task_done", "task_failed"):
         stats.tasks_done += 1
-        stats.tasks_ok += 1
-        stats.task_wall_s += float(record.get("wall_s", 0.0))
-        if record.get("resumed"):
-            stats.resumed += 1
-        else:
-            _window_stamp(stats, record)
-        worker = str(record.get("worker", "") or "")
+        stats.tasks_ok += kind == "task_done"
+        stats.retries += int(record.get("retries", 0))
+        stats.timeouts += int(record.get("timeouts", 0))
+        _window_stamp(stats, record)
         if worker:
             stats._worker(worker).tasks_done += 1
-    elif kind == "task_failed":
-        stats.tasks_done += 1
-        stats.failures += 1
-        _window_stamp(stats, record)
-    elif kind == "chunk_requeued":
-        stats.requeues += 1
+    elif kind == "chunk_started":
+        if worker:
+            stats._worker(worker).inflight_chunk = record.get("chunk_id")
     elif kind == "worker_lost":
-        stats.lost_workers += 1
-        worker = str(record.get("worker", "") or "")
         if worker:
             health = stats._worker(worker)
             health.lost = record.get("reason", "crash")
             health.inflight_chunk = None
-    elif kind == "lease_expired":
-        stats.lease_expiries += 1
-    elif kind == "duplicate_result_dropped":
-        stats.duplicate_results += 1
     elif kind == "worker_respawned":
-        stats.respawns += 1
-        worker = str(record.get("worker", "") or "")
         if worker:
-            stats._worker(worker)
-    elif kind == "task_quarantined":
-        stats.quarantined += 1
+            stats._worker(worker)  # the replacement shows up immediately
     elif kind == "sweep":
         stats.finished = True
+    name = _COUNTED_BY.get(kind)
+    if name is not None:
+        setattr(stats, name, getattr(stats, name) + 1)
+    for index, snap in (snapshots or {}).items():
+        if snap is not None:
+            stats._snapshots[index] = snap
+            stats._fold_snapshot(snap)
+    if stats.published:
+        if kind == "sweep":
+            _RUN_TOTALS["tasks_done"] += stats.tasks_done
+            _RUN_TOTALS["failures"] += stats.failures
+        _notify(kind, stats)
     return stats
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.floorplan.layouts import Floorplan
+from repro.obs.live import SWEEP_COUNTERS
 
 __all__ = [
     "heatmap",
@@ -151,10 +152,9 @@ def render_dashboard(row: dict, width: int = 40) -> str:
             )
         lines.append("workers: " + " ".join(parts))
     trouble = {
-        key: row.get(key, 0)
-        for key in ("failures", "retries", "timeouts", "requeues",
-                    "lost_workers", "lease_expiries", "duplicate_results")
-        if row.get(key)
+        c.name: row[c.name]
+        for c in SWEEP_COUNTERS
+        if c.name != "resumed" and row.get(c.name)
     }
     if trouble:
         lines.append(

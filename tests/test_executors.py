@@ -485,6 +485,38 @@ class TestCheckpointTruncation:
         assert (tmp_path / "calls-0").exists()   # re-ran
         assert not (tmp_path / "calls-1").exists()
 
+    def test_partly_checkpointed_chunk_commits_nothing(self, tmp_path):
+        # Restore is chunk-granular: a chunk missing any checkpoint line
+        # re-runs whole, so none of its slots may be committed from the
+        # checkpoint first — the re-run would drop them as duplicates.
+        from repro.obs import live as live_mod
+
+        checkpoint_mod.set_checkpoint_dir(tmp_path / "ck")
+        run_id = events.begin_run("ckpt-partial")
+        items = [(i, str(tmp_path / f"calls-{i}")) for i in range(8)]
+        run_sweep(_record_call, items, jobs=1, chunksize=4, label="c")
+        ckpt_file = tmp_path / "ck" / run_id / "c.jsonl"
+        lines = ckpt_file.read_text().splitlines()
+        ckpt_file.write_text("\n".join(lines[:-2]) + "\n")
+        for _value, marker in items:
+            Path(marker).unlink()
+        def listener(kind, stats):
+            pass
+
+        live_mod.add_listener(listener)
+        try:
+            results, timing = run_sweep(_record_call, items, jobs=1,
+                                        chunksize=4, label="c")
+        finally:
+            live_mod.remove_listener(listener)
+        assert results == [3 * i for i in range(8)]
+        assert timing.duplicate_results == 0
+        assert timing.resumed_tasks == 4
+        assert live_mod.current().resumed == 4
+        assert live_mod.current().tasks_done == 8
+        ran = [i for i in range(8) if (tmp_path / f"calls-{i}").exists()]
+        assert ran == [4, 5, 6, 7]
+
 
 class TestGcHardening:
     def test_unreadable_run_dir_is_skipped(self, tmp_path, monkeypatch):

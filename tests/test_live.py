@@ -21,7 +21,8 @@ import pytest
 from repro.cli import main
 from repro.common.errors import ConfigError
 from repro.experiments import engine
-from repro.experiments.engine import run_sweep
+from repro.experiments.chaos import ChaosPolicy
+from repro.experiments.engine import TaskPolicy, run_sweep
 from repro.experiments.executors import set_default_executor
 from repro.experiments.perf import fig6_performance
 from repro.experiments.runner import SimulationWindow
@@ -31,6 +32,7 @@ from repro.obs import live as live_mod
 from repro.obs import profile as profile_mod
 from repro.obs.export import TaskTrace, chrome_trace, write_chrome_trace
 from repro.obs.live import (
+    SWEEP_COUNTERS,
     EventFollower,
     LiveStats,
     fold_event,
@@ -100,6 +102,16 @@ def _bump_live(x):
     return x + 1
 
 
+def _fold(stats, kind, snapshots=None, **fields):
+    """Fold one hand-built sink record, stamped now."""
+    return fold_event(stats, {"event": kind, "ts": time.time(), **fields},
+                      snapshots)
+
+
+def _begin(total, label="s", **fields):
+    return _fold(None, "sweep_begin", label=label, tasks=total, **fields)
+
+
 # ---------------------------------------------------------------------
 class TestLiveStatsFold:
     def test_fold_order_independent(self):
@@ -107,14 +119,14 @@ class TestLiveStatsFold:
             (i, i % 5 != 4, 0.01 * i, _snapshot(i, float(i), values=(i,)))
             for i in range(12)
         ]
-        a = LiveStats("sweep", len(outcomes))
-        b = LiveStats("sweep", len(outcomes))
+        a = _begin(len(outcomes))
+        b = _begin(len(outcomes))
         shuffled = list(outcomes)
         random.Random(7).shuffle(shuffled)
-        for i, ok, wall, snap in outcomes:
-            a.fold_task(i, ok, wall, snap)
-        for i, ok, wall, snap in shuffled:
-            b.fold_task(i, ok, wall, snap)
+        for stats, order in ((a, outcomes), (b, shuffled)):
+            for i, ok, wall, snap in order:
+                _fold(stats, "task_done" if ok else "task_failed",
+                      snapshots={i: snap}, task_index=i, wall_s=wall)
         assert a.counters == b.counters
         assert a.gauges == b.gauges
         assert a.histograms == b.histograms
@@ -125,36 +137,47 @@ class TestLiveStatsFold:
         assert a.merged_metrics().as_dict() == b.merged_metrics().as_dict()
 
     def test_fold_task_accounting(self):
-        stats = LiveStats("s", 4)
-        stats.fold_task(0, True, 0.5, None, worker="w1", retries=2,
-                        timeouts=1)
-        stats.fold_task(1, False, 0.0, None, worker="w1")
-        stats.fold_task(2, True, 0.25, None, resumed=True)
+        stats = _begin(4, resumed_tasks=1)   # one slot restored
+        _fold(stats, "task_done", task_index=0, wall_s=0.5, worker="w1",
+              retries=2, timeouts=1)
+        _fold(stats, "task_failed", task_index=1, worker="w1")
         assert stats.tasks_done == 3
         assert stats.tasks_ok == 2
         assert stats.failures == 1
         assert stats.resumed == 1
         assert stats.retries == 2
         assert stats.timeouts == 1
-        assert stats.task_wall_s == pytest.approx(0.75)
         assert stats.workers["w1"].tasks_done == 2
         # Resumed tasks do not enter the rate window (they were not
         # completed now); live completions do.
         assert len(stats._window) == 2
 
     def test_worker_lifecycle_and_counters(self):
-        stats = LiveStats("s", 2)
-        stats.chunk_started(3, "w7")
+        stats = _begin(2)
+        _fold(stats, "chunk_started", chunk_id=3, worker="w7")
         assert stats.workers["w7"].inflight_chunk == 3
-        stats.worker_lost("w7", "heartbeat lost")
+        _fold(stats, "worker_lost", worker="w7", reason="heartbeat lost")
         assert stats.lost_workers == 1
         assert stats.workers["w7"].lost == "heartbeat lost"
         assert stats.workers["w7"].inflight_chunk is None
-        stats.requeued()
-        stats.lease_expired()
-        stats.note_duplicate()
+        _fold(stats, "chunk_requeued", chunk_id=3, requeues=1)
+        _fold(stats, "lease_expired", chunk_id=3)
+        _fold(stats, "duplicate_result_dropped", task_index=0)
         assert (stats.requeues, stats.lease_expiries,
                 stats.duplicate_results) == (1, 1, 1)
+
+    @pytest.mark.parametrize(
+        "counter", [c for c in SWEEP_COUNTERS if c.event],
+        ids=lambda c: c.name,
+    )
+    def test_each_counter_event_adds_one(self, counter):
+        stats = _begin(2)
+        for _ in range(2):
+            _fold(stats, counter.event, worker="w1")
+        row = stats.as_row()
+        assert row[counter.name] == 2
+        assert all(row[c.name] == 0 for c in SWEEP_COUNTERS
+                   if c is not counter)
 
     def test_fold_heartbeat_updates_health(self):
         stats = LiveStats("s", 2)
@@ -167,26 +190,27 @@ class TestLiveStatsFold:
         assert stats.workers["w2"].inflight_chunk is None
 
     def test_rate_and_eta(self):
-        stats = LiveStats("s", 10)
+        stats = _begin(10)
         assert stats.rate() == 0.0
         assert stats.eta_s() is None        # no completions yet
         for i in range(5):
-            stats.fold_task(i, True, 0.0, None)
+            _fold(stats, "task_done", task_index=i)
         assert stats.rate() > 0.0
         assert stats.eta_s() is not None
         for i in range(5, 10):
-            stats.fold_task(i, True, 0.0, None)
+            _fold(stats, "task_done", task_index=i)
         assert stats.eta_s() == 0.0         # nothing remaining
 
     def test_as_row_shape(self):
-        stats = LiveStats("fig6", 8, run_id="run-1", backend="local",
-                          jobs=2)
-        stats.fold_task(0, True, 0.1, None, worker="w0")
+        stats = _begin(8, label="fig6", run_id="run-1", executor="local",
+                       jobs=2)
+        _fold(stats, "task_done", task_index=0, wall_s=0.1, worker="w0")
         row = stats.as_row()
         for key in ("label", "run_id", "backend", "jobs", "tasks_total",
                     "tasks_done", "failures", "rate_per_s", "eta_s",
                     "elapsed_s", "finished", "workers"):
             assert key in row
+        assert all(c.name in row for c in SWEEP_COUNTERS)
         assert row["workers"][0]["worker"] == "w0"
         assert json.loads(json.dumps(row)) == row   # JSON-serializable
 
@@ -195,9 +219,10 @@ class TestLiveStatsFold:
             raise RuntimeError("render crashed")
 
         live_mod.add_listener(boom)
-        stats = live_mod.sweep_begin("s", 1)
-        stats.fold_task(0, True, 0.0, None)     # must not raise
-        live_mod.sweep_end(stats)
+        stats = _begin(1)
+        assert live_mod.publish(stats)
+        _fold(stats, "task_done", task_index=0)     # must not raise
+        _fold(stats, "sweep")
         assert stats.finished
 
 
@@ -205,30 +230,73 @@ class TestLiveStatsFold:
 class TestSweepBeginGating:
     def test_inactive_without_consumers(self):
         assert not live_mod.telemetry_active()
-        assert live_mod.sweep_begin("s", 4) is None
+        stats = _begin(4)
+        assert not live_mod.publish(stats)
+        assert live_mod.current() is None
+        assert not stats.published
 
     def test_listener_activates(self):
         seen = []
         live_mod.add_listener(lambda kind, stats: seen.append(kind))
-        stats = live_mod.sweep_begin("s", 4)
-        assert stats is not None
+        stats = _begin(4)
+        assert live_mod.publish(stats)
         assert live_mod.current() is stats
         assert seen == ["begin"]
 
     def test_metrics_server_activates(self):
         live_mod.start_metrics_server(0)
         assert live_mod.telemetry_active()
-        assert live_mod.sweep_begin("s", 4) is not None
+        assert live_mod.publish(_begin(4))
 
     def test_obs_off_disables_live(self):
         live_mod.add_listener(_noop_listener)
         metrics.set_enabled(False)
-        assert live_mod.sweep_begin("s", 4) is None
+        assert not live_mod.publish(_begin(4))
+        assert live_mod.current() is None
 
     def test_engine_skips_live_when_inactive(self):
         _, timing = run_sweep(_bump_live, [1, 2, 3], jobs=1, label="quiet")
         assert live_mod.current() is None
         assert timing.tasks == 3
+
+
+# ---------------------------------------------------------------------
+class TestCountsAgree:
+    """SweepTiming, the in-process stats and a replay of the sink agree."""
+
+    @pytest.mark.parametrize("backend,jobs,chaos", [
+        ("inline", 1, ChaosPolicy(fail_p=0.5, seed=4)),
+        ("local", 2, ChaosPolicy(fail_p=0.5, kill_p=0.3, dup_result_p=0.5,
+                                 seed=4)),
+    ])
+    def test_three_counts_agree(self, tmp_path, backend, jobs, chaos):
+        live_mod.add_listener(_noop_listener)
+        sink = tmp_path / "events.jsonl"
+        events.set_sink(sink)
+        try:
+            results, timing = run_sweep(
+                _bump_live, list(range(8)), jobs=jobs, chunksize=2,
+                label=f"agree-{backend}", executor=backend, chaos=chaos,
+                policy=TaskPolicy(max_retries=2),
+            )
+        finally:
+            events.set_sink(None)
+        assert results == [x + 1 for x in range(8)]
+        assert timing.retries > 0
+        if backend == "local":
+            assert timing.lost_workers > 0 and timing.duplicate_results > 0
+        live_row = live_mod.current().as_row()
+        replayed = None
+        for record in EventFollower(sink).poll():
+            replayed = fold_event(replayed, record)
+        replay_row = replayed.as_row()
+        for c in SWEEP_COUNTERS:
+            value = getattr(timing, c.field)
+            if c.field == "quarantined":
+                value = len(value)
+            assert live_row[c.name] == replay_row[c.name] == value, c.name
+        assert live_row["tasks_done"] == replay_row["tasks_done"] == 8
+        assert replayed.finished
 
 
 # ---------------------------------------------------------------------
@@ -293,10 +361,12 @@ class TestPrometheus:
 
     def test_render_with_active_sweep(self):
         live_mod.add_listener(_noop_listener)
-        stats = live_mod.sweep_begin("fig6", 8, run_id="run-x",
-                                     backend="local", jobs=2)
-        stats.fold_task(0, True, 0.1, _snapshot(3, 1.5, values=(0.5, 9.0)),
-                        worker="w0")
+        stats = _begin(8, label="fig6", run_id="run-x", executor="local",
+                       jobs=2)
+        live_mod.publish(stats)
+        _fold(stats, "task_done",
+              snapshots={0: _snapshot(3, 1.5, values=(0.5, 9.0))},
+              task_index=0, wall_s=0.1, worker="w0")
         stats.fold_heartbeat(
             {"w0": {"worker": "w0", "age_s": 0.2, "inflight_chunk": 1}})
         body = render_prometheus()
@@ -304,6 +374,8 @@ class TestPrometheus:
         assert ('repro_sweep_tasks_done{sweep="fig6",run_id="run-x",'
                 'backend="local"} 1') in body
         assert 'worker="w0"' in body
+        for c in SWEEP_COUNTERS:
+            assert f"repro_sweep_{c.name}{{" in body
         assert "repro_metric_live_test_total" in body
         # Histogram: cumulative buckets, +Inf, and _count agree.
         assert 'repro_metric_live_h_bucket' in body
@@ -314,7 +386,7 @@ class TestPrometheus:
 
     def test_eta_renders_nan_when_unknown(self):
         live_mod.add_listener(_noop_listener)
-        live_mod.sweep_begin("s", 4)
+        live_mod.publish(_begin(4))
         body = render_prometheus()
         assert re.search(r"repro_sweep_eta_seconds\{.*\} NaN", body)
         _assert_valid_exposition(body)
@@ -670,6 +742,24 @@ class TestCliTailTop:
         assert "fig6 · local · jobs=2" in out
         assert "2/2" in out
         assert "done" in out
+
+    def test_top_counts_resumed_tasks(self, tmp_path, capsys):
+        # A resumed sweep's restored slots ride on sweep_begin, so the
+        # follower's progress matches the in-process dashboard.
+        path = tmp_path / "ev.jsonl"
+        now = time.time()
+        records = [
+            {"event": "sweep_begin", "ts": now, "label": "fig6",
+             "tasks": 2, "executor": "inline", "jobs": 1,
+             "resumed_tasks": 1},
+            {"event": "task_done", "ts": now, "label": "fig6",
+             "task_index": 1, "wall_s": 0.4},
+            {"event": "sweep", "ts": now, "label": "fig6", "tasks": 2},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["top", str(path), "--once"]) == 0
+        out = capsys.readouterr().out
+        assert "2/2" in out and "done" in out
 
     def test_top_reports_empty_stream(self, tmp_path, capsys):
         path = tmp_path / "ev.jsonl"
