@@ -100,22 +100,6 @@ class WorkerCrashError(ReproError):
     """
 
 
-class ExecutorBrokenError(ReproError):
-    """An executor backend ran out of capacity (every pool worker lost
-    and the respawn budget spent).
-
-    Raised *internally* by executor backends to signal the scheduler
-    that the backend cannot make further progress; the scheduler then
-    degrades down the backend chain (``local -> inline``) or,
-    when degradation is disabled, escalates as
-    :class:`WorkerCrashError`.
-    """
-
-    def __init__(self, message: str, *, backend: str = ""):
-        super().__init__(message)
-        self.backend = backend
-
-
 class SweepAbortedError(ReproError):
     """A fail-fast sweep stopped early; ``failures`` holds the task errors."""
 

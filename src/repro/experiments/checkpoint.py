@@ -18,7 +18,12 @@ hit/miss pattern the uninterrupted run would have produced.
 Task keys combine the task's position in the sweep with a hash of its
 description (``task_key()`` when the item provides one, ``repr``
 otherwise), so a resume with different parameters simply misses the
-checkpoint and re-runs — stale results are never resurrected.
+checkpoint and re-runs.  Every record also carries the
+:func:`~repro.obs.events.source_fingerprint` of the code that wrote it,
+and opening a checkpoint written by other source refuses with a
+:class:`~repro.common.errors.ConfigError` naming both fingerprints and
+the run directory — a resume after a code change would otherwise mix
+stale results into the new ones.
 
 Durability contract
 -------------------
@@ -135,6 +140,20 @@ def _decode(text: str):
     return pickle.loads(base64.b64decode(text.encode("ascii")))
 
 
+def _records(text: str):
+    """Each line's record, in order; ``None`` for a torn line."""
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            record["key"]
+        except (json.JSONDecodeError, TypeError, KeyError):
+            yield None
+            continue
+        yield record
+
+
 class SweepCheckpoint:
     """Append-only JSONL checkpoint for one sweep of one run."""
 
@@ -145,26 +164,29 @@ class SweepCheckpoint:
         self.truncated_lines = 0
         self.finalized = _done_path(self.path).exists()
         torn = False
+        source = events.source_fingerprint()
         if self.path.exists():
             text = self.path.read_text(encoding="utf-8")
             torn = bool(text) and not text.endswith("\n")
-            for line in text.splitlines():
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                    record["key"]
-                except (json.JSONDecodeError, TypeError, KeyError):
+            for record in _records(text):
+                if record is None:
                     # A torn line from a hard kill mid-write; everything
                     # before it is intact, the affected task re-runs.
                     self.truncated_lines += 1
                     continue
-                if record.get("quarantined"):
-                    # Quarantine records carry no payload and are never
-                    # restored: a resume gives the task one fresh chance.
-                    self.quarantined[record["key"]] = record
-                else:
-                    self.records[record["key"]] = record
+                if record.get("source") != source:
+                    raise ConfigError(
+                        f"checkpoint {self.path.name} in run directory "
+                        f"{self.path.parent} was written by repro source "
+                        f"{record.get('source') or 'unknown'}, but this is "
+                        f"source {source}: refusing to resume it with "
+                        "changed code (start a new run instead)"
+                    )
+                # Quarantine records carry no payload and are never
+                # restored: a resume gives the task one fresh chance.
+                held = self.quarantined if record.get("quarantined") \
+                    else self.records
+                held[record["key"]] = record
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
         if self.truncated_lines:
@@ -174,6 +196,7 @@ class SweepCheckpoint:
                 skipped_lines=self.truncated_lines,
                 restored_records=len(self.records),
             )
+        self._source = source
         self._fh = self.path.open("a", encoding="utf-8")
         if torn:
             # Seal the torn line so the next append starts fresh.
@@ -204,6 +227,7 @@ class SweepCheckpoint:
             # real crash's.
             self._fh.write("\n")
             self._torn_tail = False
+        record["source"] = self._source
         line = json.dumps(record) + "\n"
         if (
             self._short_write_armed
@@ -371,16 +395,10 @@ def scan_sweep(path: str | Path) -> dict:
         return summary
     committed: dict[str, float] = {}
     quarantined: dict[str, dict] = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            record["key"]
-        except (json.JSONDecodeError, TypeError, KeyError):
+    for record in _records(text):
+        if record is None:
             summary["truncated_lines"] += 1
-            continue
-        if record.get("quarantined"):
+        elif record.get("quarantined"):
             quarantined[record["key"]] = {
                 "task_key": record["key"],
                 "index": record.get("index"),

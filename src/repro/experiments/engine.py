@@ -15,14 +15,17 @@ instead of running nested loops inline.  The engine provides:
   worker (a pure in-process loop — no executor processes, no pickling —
   so ``pdb``, profilers, and coverage keep working) and the ``local``
   supervised worker pool otherwise;
-* a backend-agnostic scheduler loop driven by per-chunk **leases**
-  (deadline = the wave's worst-case serial budget): a lost worker or an
-  expired lease requeues the chunk onto a surviving (or respawned)
-  pool worker, a chunk that keeps killing workers is bisected until
-  its poison task is quarantined, results commit **at most once** per
-  task key (a slow original completing after its requeued twin cannot
-  double-count), and a pool with no worker and no respawn budget left
-  degrades down the chain ``local -> inline``;
+* a short runner loop around the pure scheduler core
+  (:mod:`repro.experiments.scheduler`): it feeds the core's
+  ``step(schedule, event, now) -> actions`` the adapter's events and a
+  tick per turn, and carries out the actions — send, kill, spawn,
+  commit, note, degrade, stop.  The core owns every decision: per-chunk
+  **leases**, requeue of a lost or lease-killed worker's chunk onto a
+  surviving (or respawned) worker, bisection down to quarantine of a
+  poison task, the respawn budget, the drain, and degradation down the
+  chain ``local -> inline``; results commit **at most once** per task
+  key here (a slow original completing after its requeued twin cannot
+  double-count);
 * a resilience policy (:class:`TaskPolicy`): per-task retries with
   exponential backoff and deterministic jitter, a per-task timeout that
   kills hung attempts from inside the worker, fail-fast vs.
@@ -61,15 +64,14 @@ top`` runs over the sink — and the counters are read off that fold.
 
 from __future__ import annotations
 
-import itertools
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.common.errors import (
     ConfigError,
-    ExecutorBrokenError,
     SweepAbortedError,
     SweepDrainedError,
     TaskError,
@@ -80,6 +82,7 @@ from repro.common.errors import (
 from repro.experiments import chaos as chaos_mod
 from repro.experiments import checkpoint as checkpoint_mod
 from repro.experiments import executors as executors_mod
+from repro.experiments import scheduler
 from repro.experiments.chaos import ChaosPolicy, hash01
 from repro.experiments.executors import (
     EXECUTOR_ENV_VAR,
@@ -174,34 +177,18 @@ class TaskPolicy:
     drain_timeout_s: float = 30.0
 
     def __post_init__(self):
-        if self.max_retries < 0:
-            raise ConfigError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ConfigError(
-                f"timeout_s must be positive, got {self.timeout_s}"
-            )
+        for name in ("max_retries", "max_requeues", "max_respawns",
+                     "respawn_backoff_s"):
+            if getattr(self, name) < 0:
+                raise ConfigError(
+                    f"{name} must be >= 0, got {getattr(self, name)}"
+                )
+        for name in ("timeout_s", "drain_timeout_s"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ConfigError(f"{name} must be positive, got {value}")
         if self.backoff_s < 0 or self.max_backoff_s < 0:
             raise ConfigError("backoff times must be >= 0")
-        if self.max_requeues < 0:
-            raise ConfigError(
-                f"max_requeues must be >= 0, got {self.max_requeues}"
-            )
-        if self.max_respawns < 0:
-            raise ConfigError(
-                f"max_respawns must be >= 0, got {self.max_respawns}"
-            )
-        if self.respawn_backoff_s < 0:
-            raise ConfigError(
-                f"respawn_backoff_s must be >= 0, got "
-                f"{self.respawn_backoff_s}"
-            )
-        if self.drain_timeout_s <= 0:
-            raise ConfigError(
-                f"drain_timeout_s must be positive, got "
-                f"{self.drain_timeout_s}"
-            )
 
     def backoff(self, task_index: int, attempt: int) -> float:
         """Seconds to wait before ``attempt`` (>= 1) of ``task_index``.
@@ -447,22 +434,19 @@ def resolve_jobs(jobs: int | None = None) -> int:
 
 
 # ---------------------------------------------------------------------
-# Controller side: chunk scheduling, lease supervision, backend
-# degradation, checkpointing.  (Worker-side execution — the attempt
-# loop and SIGALRM deadline — lives in repro.experiments.executors.)
+# Controller side: the sweep's results, checkpoint and event records,
+# and the runner that carries out the scheduler core's actions.
+# (Scheduling decisions live in repro.experiments.scheduler; worker-side
+# execution — the attempt loop and SIGALRM deadline — in
+# repro.experiments.executors.)
 
 
 class _SweepState:
     """Per-sweep bookkeeping shared by the serial and pool paths."""
 
-    def __init__(
-        self,
-        tasks: Sequence,
-        label: str,
-        policy: TaskPolicy,
-        timing: SweepTiming,
-        ckpt: checkpoint_mod.SweepCheckpoint | None,
-    ):
+    def __init__(self, tasks: Sequence, label: str, policy: TaskPolicy,
+                 timing: SweepTiming,
+                 ckpt: checkpoint_mod.SweepCheckpoint | None):
         self.tasks = tasks
         self.label = label
         self.policy = policy
@@ -481,10 +465,6 @@ class _SweepState:
         # duplicated result frame can arrive twice) — the first commit
         # wins, every later arrival for the key is dropped.
         self.committed: set[str] = set()
-
-    def is_committed(self, index: int) -> bool:
-        """Whether the task at ``index`` already has a committed outcome."""
-        return checkpoint_mod.task_key(self.tasks[index], index) in self.committed
 
     def note(self, kind: str,
              snapshots: dict[int, MetricsSnapshot] | None = None,
@@ -551,48 +531,28 @@ class _SweepState:
             self.walls[i] = outcome.wall_s
             self.snapshots[i] = outcome.metrics
             if self.ckpt is not None:
-                item = self.tasks[i]
-                self.ckpt.append(
-                    key,
-                    i,
-                    repr(item)[:160],
-                    outcome.wall_s,
-                    outcome.result,
-                    outcome.metrics,
-                )
+                self.ckpt.append(key, i, repr(self.tasks[i])[:160],
+                                 outcome.wall_s, outcome.result,
+                                 outcome.metrics)
             self._observe_commit(outcome, key, chunk_id, worker)
             return
         message = (
             f"sweep {self.label!r} task {i} failed after "
             f"{outcome.attempts} attempt(s): {outcome.error}"
         )
-        if outcome.error_kind == "timeout":
-            cls = TaskTimeoutError
-        elif outcome.error_kind == "quarantine":
-            cls = TaskQuarantinedError
-        else:
-            cls = TaskError
-        kwargs = dict(
-            task_key=key,
-            task_index=i,
-            attempts=outcome.attempts,
-            worker_traceback=outcome.traceback,
-        )
+        cls = {"timeout": TaskTimeoutError,
+               "quarantine": TaskQuarantinedError}.get(outcome.error_kind,
+                                                       TaskError)
+        kwargs = dict(task_key=key, task_index=i, attempts=outcome.attempts,
+                      worker_traceback=outcome.traceback)
         if cls is TaskTimeoutError:
             kwargs["timeout_s"] = self.policy.timeout_s or 0.0
         error = cls(message, **kwargs)
         self.failures.append(error)
-        self.note(
-            "task_failed",
-            task_index=i,
-            task_key=key,
-            attempts=outcome.attempts,
-            error_kind=outcome.error_kind,
-            error=outcome.error,
-            worker=worker,
-            retries=outcome.retries,
-            timeouts=outcome.timeouts,
-        )
+        self.note("task_failed", task_index=i, task_key=key,
+                  attempts=outcome.attempts, error_kind=outcome.error_kind,
+                  error=outcome.error, worker=worker,
+                  retries=outcome.retries, timeouts=outcome.timeouts)
         if self.policy.fail_fast:
             raise SweepAbortedError(
                 f"sweep {self.label!r} aborted: {message}",
@@ -627,15 +587,9 @@ class _SweepState:
         accumulator = profile_mod.get_accumulator()
         if accumulator is not None and telemetry.get("profile"):
             accumulator.fold(telemetry["profile"])
-        self.note(
-            "task_done",
-            snapshots={i: outcome.metrics},
-            task_index=i,
-            wall_s=round(outcome.wall_s, 6),
-            worker=worker,
-            retries=outcome.retries,
-            timeouts=outcome.timeouts,
-        )
+        self.note("task_done", snapshots={i: outcome.metrics}, task_index=i,
+                  wall_s=round(outcome.wall_s, 6), worker=worker,
+                  retries=outcome.retries, timeouts=outcome.timeouts)
 
     def quarantine(self, index: int, base: int, reason: str) -> None:
         """Declare one task poisonous and commit a failure for it.
@@ -646,77 +600,29 @@ class _SweepState:
         through the normal at-most-once commit so fail-fast and failure
         accounting behave exactly like any exhausted task.
         """
-        if self.is_committed(index):
-            return
         item = self.tasks[index]
         key = checkpoint_mod.task_key(item, index)
+        if key in self.committed:
+            return
         error = (
             f"task quarantined after repeatedly killing its worker "
             f"(last loss: {reason})"
         )
-        self.timing.quarantined.append({
-            "task_key": key,
-            "index": index,
-            "task": repr(item)[:160],
-            "error": error,
-        })
+        self.timing.quarantined.append({"task_key": key, "index": index,
+                                        "task": repr(item)[:160],
+                                        "error": error})
         if self.ckpt is not None:
             self.ckpt.append_quarantine(key, index, repr(item)[:160], error)
-        self.note(
-            "task_quarantined", task_index=index, task_key=key, reason=reason,
-        )
-        self.absorb(_TaskOutcome(
-            index=index,
-            attempts=base + 1,
-            error_kind="quarantine",
-            error=error,
-        ))
-
-
-def _chunked(entries: list, chunksize: int) -> list[list]:
-    return [
-        entries[i:i + chunksize] for i in range(0, len(entries), chunksize)
-    ]
-
-
-def _bump_lost_entries(chunk, chaos: ChaosPolicy | None, reason: str):
-    """Attribute a lost worker to the chaos decisions that caused it,
-    consuming the disturbed first attempts so the requeued rerun is
-    injection-free.  Both sides of the pipe compute the same pure
-    decisions, which is what lets the controller attribute a death it
-    only observed as a fired process sentinel.  ``crash`` losses
-    attribute kills; a chaos ``worker-hang`` (decided from the first
-    entry) is consumed for *any* reason — including lease-driven
-    requeues, which are exactly how a hang surfaces — while a real
-    crash or hang (no chaos decision) resubmits unchanged.
-    """
-    if chaos is None:
-        return list(chunk)
-    bumped = []
-    for pos, (index, base, item) in enumerate(chunk):
-        bump = pos == 0 and chaos.hangs(index, base)
-        if reason == "crash":
-            bump = bump or chaos.kills(index, base)
-        bumped.append((index, base + 1, item) if bump else (index, base, item))
-    return bumped
-
-
-# Controller-deadline slack over the serial worst case: covers dispatch,
-# pickling, and scheduler noise without masking a genuinely stuck worker.
-_DEADLINE_SLACK = 1.25
-_DEADLINE_GRACE_S = 2.0
-
-# Unattributed worker losses a chunk survives before the scheduler
-# suspects a poison task and bisects (or, at single-task grain,
-# quarantines).  Chaos-attributed losses never count — they are one-shot
-# by construction and the rerun is clean.
-_POISON_LOSS_LIMIT = 2
+        self.note("task_quarantined", task_index=index, task_key=key,
+                  reason=reason)
+        self.absorb(_TaskOutcome(index=index, attempts=base + 1,
+                                 error_kind="quarantine", error=error))
 
 
 # ---------------------------------------------------------------------
-# Drain requests (SIGTERM): a process-wide flag the scheduler loop polls
-# between events.  On a drain, in-flight chunks finish and commit,
-# pending chunks are withdrawn, and the sweep raises
+# Drain requests (SIGTERM): a process-wide flag the runner checks every
+# turn and hands to the scheduler core.  On a drain, in-flight chunks
+# finish and commit, pending chunks are withdrawn, and the sweep raises
 # :class:`SweepDrainedError` so the caller can exit with a resume hint.
 
 _DRAIN = {"requested": False, "reason": ""}
@@ -725,8 +631,8 @@ _DRAIN = {"requested": False, "reason": ""}
 def request_drain(reason: str = "signal") -> None:
     """Ask running (and subsequent) sweeps to drain and stop.
 
-    Safe to call from a signal handler: sets a flag the scheduler loop
-    polls — no locks, no I/O.  Stays set until :func:`clear_drain`, so
+    Safe to call from a signal handler: sets a flag the runner checks
+    every turn — no locks, no I/O.  Stays set until :func:`clear_drain`, so
     a multi-sweep command stops after the sweep that noticed it.
     """
     _DRAIN["requested"] = True
@@ -744,335 +650,87 @@ def clear_drain() -> None:
     _DRAIN["reason"] = ""
 
 
-def _wave_budget(chunks, policy: TaskPolicy) -> float:
-    """Worst-case wall budget for one submission wave.
-
-    Every attempt of every entry at the per-attempt timeout plus maximal
-    backoffs, run *serially* — a pessimistic bound that stays valid
-    however the pool distributes chunks over workers (a queued chunk's
-    wait time is someone else's run time, already counted).  Only
-    meaningful when ``policy.timeout_s`` is set.
-    """
-    budget = 0.0
-    for chunk in chunks:
-        for _index, base, _item in chunk:
-            attempts = max(1, policy.max_retries + 1 - base)
-            budget += attempts * policy.timeout_s
-            budget += (attempts - 1) * policy.max_backoff_s * 1.5
-    return budget * _DEADLINE_SLACK + _DEADLINE_GRACE_S
-
-
-def _drive_backend(fn, chunks, jobs, policy, chaos, state: _SweepState,
-                   backend: str) -> list:
-    """Run chunks to completion on one backend; return what it stranded.
-
-    The scheduler is backend-agnostic: it submits chunks with a lease
-    (deadline = the wave's worst-case serial budget, armed only when the
-    policy carries a per-task timeout), consumes the executor's event
-    stream, and supervises two failure paths —
-
-    * **worker loss** (a dead pool worker): the chunk is requeued onto
-      a surviving worker, at most ``policy.max_requeues`` times, with
-      the chaos decisions that caused the loss attributed so the rerun
-      is injection-free; a chunk that keeps killing workers with no
-      chaos decision to blame is bisected, and a single poisonous task
-      is quarantined;
-    * **lease expiry**: on the pool the chunk's worker is killed and
-      the chunk requeued; inline (which cannot requeue) declares the
-      chunk's unfinished tasks timed out by the controller.
-
-    A chunk that is resubmitted whole re-runs from a cold cache for its
-    task keys, so re-produced metric deltas are bit-identical and the
-    at-most-once commit can drop whichever copy arrives second.
-    Returns the chunks still unfinished when the backend broke for good
-    (``[]`` on normal completion); raises :class:`WorkerCrashError`
-    instead when ``policy.degrade_serial`` is off.
-    """
-    executor = executors_mod.make_executor(
-        backend, fn=fn, policy=policy, chaos=chaos,
-        jobs=max(1, min(jobs, len(chunks))),
-    )
-    outstanding: dict[int, list] = {}
-    leases: dict[int, float | None] = {}
-    requeue_counts: dict[int, int] = {}
-    loss_counts: dict[int, int] = {}
-    ids = itertools.count()
-
-    def submit_wave(wave) -> None:
-        deadline = None
-        if policy.timeout_s is not None:
-            deadline = time.monotonic() + _wave_budget(wave, policy)
-        for chunk in wave:
-            chunk_id = next(ids)
-            outstanding[chunk_id] = chunk
-            leases[chunk_id] = deadline
-            executor.submit_chunk(chunk_id, chunk)
-
-    def expire_chunk(chunk_id: int, chunk) -> None:
-        # The controller backstop fired: no result inside the worst-case
-        # serial budget.  Raises SweepAbortedError via absorb when the
-        # policy is fail-fast.
-        for index, base, _item in chunk:
-            if state.is_committed(index):
-                continue
-            state.absorb(_TaskOutcome(
-                index=index,
-                attempts=max(1, policy.max_retries + 1 - base),
-                timeouts=1,
-                error_kind="timeout",
-                error=(
-                    "controller deadline expired: task still unfinished "
-                    f"after the wave's worst-case budget "
-                    f"(per-attempt timeout {policy.timeout_s}s)"
-                ),
-            ))
-
-    def bisect_chunk(chunk_id: int, reason: str) -> None:
-        # A chunk that keeps killing workers without a chaos decision to
-        # blame hides a poison task: split it so the halves isolate the
-        # culprit (fresh chunk ids, fresh requeue and loss budgets) —
-        # one bad task no longer costs every retry of its chunk-mates.
-        chunk = outstanding.pop(chunk_id)
-        leases.pop(chunk_id, None)
-        mid = len(chunk) // 2
-        deadline = None
-        if policy.timeout_s is not None:
-            deadline = time.monotonic() + _wave_budget([chunk], policy)
-        half_ids = []
-        for half in (chunk[:mid], chunk[mid:]):
-            half_id = next(ids)
-            half_ids.append(half_id)
-            outstanding[half_id] = half
-            leases[half_id] = deadline
-            executor.submit_chunk(half_id, half)
-        state.note(
-            "chunk_bisected",
-            chunk_id=chunk_id,
-            reason=reason,
-            halves=half_ids,
-            tasks=len(chunk),
+def _run_scheduled(fn, chunks, jobs, policy, chaos, state: _SweepState,
+                   backend: str) -> None:
+    """Run ``chunks`` to the end: feed the scheduler core a pending
+    drain request, a tick and every adapter event, and carry out the
+    actions it returns.  Every decision is the core's."""
+    def open_backend(name: str):
+        state.timing.backends.append(name)
+        return executors_mod.make_executor(
+            name, fn=fn, policy=policy, chaos=chaos,
+            jobs=max(1, min(jobs, len(chunks))),
         )
 
-    def requeue_chunk(chunk_id: int, reason: str) -> None:
-        original = outstanding[chunk_id]
-        chunk = _bump_lost_entries(original, chaos, reason)
-        outstanding[chunk_id] = chunk
-        attributed = any(
-            b_new != b_old
-            for (_i1, b_old, _t1), (_i2, b_new, _t2) in zip(original, chunk)
-        )
-        if reason == "crash" and not attributed:
-            losses = loss_counts[chunk_id] = loss_counts.get(chunk_id, 0) + 1
-            if losses >= _POISON_LOSS_LIMIT:
-                if len(chunk) > 1:
-                    bisect_chunk(chunk_id, reason)
-                else:
-                    outstanding.pop(chunk_id)
-                    leases.pop(chunk_id, None)
-                    index, base, _item = chunk[0]
-                    state.quarantine(index, base, reason)
-                return
-        count = requeue_counts[chunk_id] = requeue_counts.get(chunk_id, 0) + 1
-        if count > policy.max_requeues:
-            outstanding.pop(chunk_id)
-            leases.pop(chunk_id, None)
-            if reason == "lease":
-                expire_chunk(chunk_id, chunk)
-                return
-            for index, base, _item in chunk:
-                if state.is_committed(index):
-                    continue
-                state.absorb(_TaskOutcome(
-                    index=index,
-                    attempts=base + 1,
-                    error_kind="error",
-                    error=(
-                        f"chunk abandoned after {count - 1} requeues "
-                        f"(last worker loss: {reason})"
-                    ),
-                ))
-            return
-        state.note(
-            "chunk_requeued",
-            chunk_id=chunk_id,
-            reason=reason,
-            requeues=count,
-        )
-        if policy.timeout_s is not None:
-            leases[chunk_id] = time.monotonic() + _wave_budget([chunk], policy)
-        executor.submit_chunk(chunk_id, chunk)
+    adapter = open_backend(backend)
+    schedule = scheduler.Schedule(chunks, backend, adapter.workers(),
+                                  policy, chaos, time.monotonic())
 
-    def handle_event(event) -> None:
-        if isinstance(event, executors_mod.ChunkStarted):
-            # A worker picked the chunk up: re-arm its lease to the
-            # chunk's own budget (tighter than the shared wave bound).
-            if event.chunk_id in outstanding and policy.timeout_s is not None:
-                leases[event.chunk_id] = time.monotonic() + _wave_budget(
-                    [outstanding[event.chunk_id]], policy
-                )
-            state.note("chunk_started", chunk_id=event.chunk_id,
-                       worker=event.worker)
-        elif isinstance(event, executors_mod.TaskDone):
-            state.absorb(event.outcome, chunk_id=event.chunk_id,
-                         worker=event.worker)
-        elif isinstance(event, executors_mod.ChunkDone):
-            outstanding.pop(event.chunk_id, None)
-            leases.pop(event.chunk_id, None)
-        elif isinstance(event, executors_mod.WorkerLost):
-            state.note(
-                "worker_lost",
-                backend=backend,
-                worker=event.worker,
-                reason=event.reason,
-                chunks=len(event.chunk_ids),
-            )
-            for chunk_id in event.chunk_ids:
-                if chunk_id in outstanding:
-                    requeue_chunk(chunk_id, event.reason)
-        elif isinstance(event, executors_mod.WorkerRespawned):
-            state.note(
-                "worker_respawned",
-                backend=backend,
-                worker=event.worker,
-                replaced=event.replaced,
-            )
-        elif isinstance(event, executors_mod.RespawnFailed):
-            state.note(
-                "worker_respawn_failed",
-                backend=backend,
-                replaced=event.replaced,
-                ordinal=event.ordinal,
-            )
+    def feed(event) -> scheduler.Stop | None:
+        nonlocal adapter
+        todo = deque(scheduler.step(schedule, event, time.monotonic()))
+        while todo:
+            action = todo.popleft()
+            if isinstance(action, scheduler.Note):
+                state.note(action.kind, **action.fields)
+            elif isinstance(action, scheduler.Commit):
+                state.absorb(action.outcome, chunk_id=action.chunk_id,
+                             worker=action.worker)
+            elif isinstance(action, scheduler.Send):
+                adapter.send(action.worker, action.chunk_id, action.entries)
+            elif isinstance(action, scheduler.Kill):
+                adapter.kill(action.worker)
+            elif isinstance(action, scheduler.Spawn):
+                try:
+                    worker = adapter.spawn()
+                except OSError:
+                    worker = None
+                todo.extend(scheduler.step(schedule, scheduler.SpawnResult(
+                    action.replaced, action.ordinal, worker),
+                    time.monotonic()))
+            elif isinstance(action, scheduler.Quarantine):
+                state.quarantine(action.index, action.base, action.reason)
+            elif isinstance(action, scheduler.Degrade):
+                adapter.shutdown(kill=True)
+                state.timing.degraded = True
+                adapter = open_backend(action.backend)
+            elif isinstance(action, scheduler.Stop):
+                return action
+        return None
 
-    remaining: list = []
-    broken = False
-    draining = False
-    drain_deadline = 0.0
-    stranded_tasks = 0
     try:
-        submit_wave(chunks)
-        while outstanding:
-            if _DRAIN["requested"] and not draining:
-                draining = True
-                drain_deadline = time.monotonic() + policy.drain_timeout_s
-                # Withdraw everything not yet running; what a worker
-                # already picked up finishes and commits normally.
-                for chunk_id in sorted(outstanding):
-                    if executor.cancel_pending(chunk_id):
-                        stranded_tasks += len(outstanding.pop(chunk_id))
-                        leases.pop(chunk_id, None)
-                state.note(
-                    "sweep_draining",
-                    reason=_DRAIN["reason"],
-                    inflight_chunks=len(outstanding),
-                    stranded_tasks=stranded_tasks,
-                )
-                if not outstanding:
-                    break
-            wait_s = None
-            armed = [d for d in leases.values() if d is not None]
-            if armed:
-                wait_s = max(0.0, min(armed) - time.monotonic())
-            if wait_s is None or wait_s > 0.5:
-                # Bounded wait so a drain request (SIGTERM) is noticed
-                # and live consumers get a heartbeat tick at least twice
-                # a second, even with no lease armed.
-                wait_s = 0.5
-            if draining:
-                wait_s = min(wait_s, 0.25)
-            for event in executor.poll(wait_s):
-                handle_event(event)
-            state.live.tick(executor)
-            if draining and outstanding \
-                    and time.monotonic() >= drain_deadline:
-                # In-flight chunks outlived the drain timeout: give up
-                # on them (their uncommitted tasks count as stranded —
-                # the resume re-runs them) and let shutdown kill the
-                # workers.
+        while True:
+            if _DRAIN["requested"]:
+                feed(scheduler.DrainRequested(_DRAIN["reason"]))
+            stop = feed(scheduler.Tick())
+            if stop is not None:
                 break
-            if not armed:
-                continue
-            now = time.monotonic()
-            for chunk_id, deadline in list(leases.items()):
-                if deadline is None or deadline > now:
-                    continue
-                if chunk_id not in outstanding:
-                    leases.pop(chunk_id, None)
-                    continue
-                state.note(
-                    "lease_expired",
-                    backend=backend,
-                    chunk_id=chunk_id,
-                    timeout_s=policy.timeout_s,
-                )
-                cancelled = executor.cancel(chunk_id)
-                if executor.supports_requeue and cancelled:
-                    requeue_chunk(chunk_id, "lease")
-                else:
-                    chunk = outstanding.pop(chunk_id)
-                    leases.pop(chunk_id, None)
-                    expire_chunk(chunk_id, chunk)
-        if draining:
-            for chunk in outstanding.values():
-                stranded_tasks += sum(
-                    1 for index, _base, _item in chunk
-                    if not state.is_committed(index)
-                )
+            for event in adapter.poll(
+                    scheduler.wait_s(schedule, time.monotonic())):
+                feed(event)
+            state.live.tick(adapter)
+        if stop.reason == "drained":
             raise SweepDrainedError(
                 f"sweep {state.label!r} drained after "
                 f"{_DRAIN['reason'] or 'drain request'}: "
                 f"{len(state.committed)}/{len(state.tasks)} task(s) "
-                f"committed, {stranded_tasks} stranded",
+                f"committed, {stop.tasks} stranded",
                 label=state.label,
                 run_id=state.timing.run_id,
                 completed=len(state.committed),
                 total=len(state.tasks),
-                stranded=stranded_tasks,
+                stranded=stop.tasks,
             )
-    except ExecutorBrokenError:
-        broken = True
-        remaining = [outstanding[cid] for cid in sorted(outstanding)]
-        if not policy.degrade_serial:
-            executor.shutdown(kill=True)
+        if stop.reason == "broken":
             raise WorkerCrashError(
-                f"sweep {state.label!r}: executor backend {backend!r} "
-                f"failed with {sum(len(c) for c in remaining)} task(s) "
+                f"sweep {state.label!r}: executor backend "
+                f"{schedule.backend!r} failed with {stop.tasks} task(s) "
                 "unfinished and degradation disabled",
-            ) from None
+            )
     except BaseException:
-        executor.shutdown(kill=True)
+        adapter.shutdown(kill=True)
         raise
-    executor.shutdown(kill=broken)
-    return remaining
-
-
-def _run_with_executors(fn, chunks, jobs, policy, chaos, state: _SweepState,
-                        backend: str) -> None:
-    """Drive the sweep down the degradation chain starting at ``backend``.
-
-    Each broken backend hands its unfinished chunks to the next link
-    (``local -> inline``); ``inline`` is the in-process loop and cannot
-    break, so the chain always terminates.
-    """
-    chain = executors_mod.DEGRADATION_CHAIN
-    position = chain.index(backend)
-    pending = [list(chunk) for chunk in chunks]
-    while pending:
-        name = chain[position]
-        state.timing.backends.append(name)
-        pending = _drive_backend(
-            fn, pending, jobs, policy, chaos, state, name
-        )
-        if not pending:
-            return
-        position += 1
-        state.timing.degraded = True
-        state.note(
-            "sweep_degraded",
-            backend=name,
-            fallback=chain[position],
-            remaining_tasks=sum(len(c) for c in pending),
-        )
+    adapter.shutdown()
 
 
 # ---------------------------------------------------------------------
@@ -1122,7 +780,8 @@ def run_sweep(
     if chunksize is None:
         chunksize = max(1, -(-len(tasks) // (jobs * 4)))
     entries = [(i, 0, item) for i, item in enumerate(tasks)]
-    chunks = _chunked(entries, chunksize)
+    chunks = [entries[i:i + chunksize]
+              for i in range(0, len(entries), chunksize)]
     ckpt = checkpoint_mod.open_sweep(label, run_id, chaos=chaos)
     state = _SweepState(tasks, label, policy, timing, ckpt)
     # Chunk-granular restore (see repro.experiments.checkpoint).
@@ -1144,8 +803,8 @@ def run_sweep(
     start = time.perf_counter()
     try:
         if pending_chunks:
-            _run_with_executors(fn, pending_chunks, jobs, policy, chaos,
-                                state, backend)
+            _run_scheduled(fn, pending_chunks, jobs, policy, chaos,
+                           state, backend)
         if ckpt is not None:
             # The sweep ran to completion: publish the crash-consistent
             # "this checkpoint is the full record" marker.

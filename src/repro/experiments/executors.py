@@ -1,24 +1,23 @@
-"""Executor backends for the sweep engine.
+"""Executor adapters for the sweep engine.
 
-The engine (:mod:`repro.experiments.engine`) schedules chunks of sweep
-tasks; *how* a chunk actually runs is this module's concern.  An
-:class:`Executor` turns ``submit_chunk`` calls into a stream of
+The scheduler core (:mod:`repro.experiments.scheduler`) decides which
+chunk of sweep tasks runs where and what happens when something goes
+wrong; *running* a chunk is this module's concern.  An
+:class:`Executor` adapter carries out the core's ``Send`` / ``Kill`` /
+``Spawn`` actions and reports what its workers did as
 :class:`ChunkStarted` / :class:`TaskDone` / :class:`ChunkDone` /
-:class:`WorkerLost` events that the engine's backend-agnostic scheduler
-loop consumes.  Two implementations ship:
+:class:`WorkerExited` events.  Adapters hold no chunk queue, placement
+rule, lease or respawn budget.  Two ship:
 
 * :class:`InlineExecutor` (``inline``) — serial, in-process, one task
-  per ``poll`` call so the scheduler can checkpoint and fail-fast
+  per ``poll`` call so the engine can checkpoint and fail-fast
   *between* tasks.  Nothing is pickled; ``pdb``, profilers, and
   coverage keep working.
-* :class:`PoolExecutor` (``local``) — one supervised pool of forked
-  worker processes, each connected to the controller by its own
-  ``multiprocessing`` pipe.  Workers stream per-task results; the
-  controller watches every pipe and process sentinel, so a dead worker
-  is detected at once, its chunk requeues onto a survivor, and —
-  within ``TaskPolicy.max_respawns`` — a replacement worker is forked
-  so the sweep recovers full capacity.  A worker that is alive but
-  stuck is caught by the chunk lease and killed.
+* :class:`PoolExecutor` (``local``) — forked worker processes, each
+  connected to the controller by its own ``multiprocessing`` pipe.  It
+  keeps only fork, pipe send/receive, sentinel wait and kill: workers
+  stream per-task results, and a dead worker is seen at once through
+  its process sentinel.
 
 This module also owns the *worker-side* execution layer — the
 per-attempt retry loop (:func:`_attempt_task`), the ``SIGALRM``
@@ -29,16 +28,15 @@ On platforms without ``signal.SIGALRM`` / ``setitimer`` the in-worker
 deadline cannot be armed; :func:`_attempt_task` then falls back to a
 post-hoc wall-clock check (an overlong attempt that *finishes* is still
 converted to a timeout and retried) and true hangs are left to the
-controller-side lease, which fabricates the timeout when the chunk
+scheduler's chunk lease, which fabricates the timeout when the chunk
 outlives its worst-case budget.
 
 Selection: :func:`resolve_executor` picks the backend — explicit
 argument, then :func:`set_default_executor` (the CLI's ``--executor``),
 then the ``REPRO_EXECUTOR`` environment variable, then ``inline`` for
-``jobs=1`` and ``local`` otherwise.  When the pool has lost every
-worker and spent its respawn budget it raises
-:class:`~repro.common.errors.ExecutorBrokenError` and the scheduler
-degrades down :data:`DEGRADATION_CHAIN` (``local -> inline``).
+``jobs=1`` and ``local`` otherwise.  When the pool has no worker left
+and no respawn budget, the scheduler degrades down
+:data:`DEGRADATION_CHAIN` (``local -> inline``).
 """
 
 from __future__ import annotations
@@ -49,13 +47,12 @@ import signal
 import threading
 import time
 import traceback as traceback_mod
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from repro.common.errors import ChaosError, ConfigError, ExecutorBrokenError
+from repro.common.errors import ChaosError, ConfigError
 from repro.experiments.chaos import ChaosPolicy
 from repro.obs import profile as profile_mod
 from repro.obs.metrics import MetricsSnapshot, get_registry
@@ -66,9 +63,7 @@ __all__ = [
     "ChunkStarted",
     "TaskDone",
     "ChunkDone",
-    "WorkerLost",
-    "WorkerRespawned",
-    "RespawnFailed",
+    "WorkerExited",
     "Executor",
     "InlineExecutor",
     "PoolExecutor",
@@ -256,114 +251,54 @@ def _attempt_task(
 
 
 # ---------------------------------------------------------------------
-# Scheduler-facing event stream.
+# Adapter events: what the scheduler core (repro.experiments.scheduler)
+# learns from a backend.  Worker ids are the adapter's own (pool: ints
+# in spawn order; inline: the string "inline").
 
 
-@dataclass(frozen=True)
-class ChunkStarted:
-    """A worker began executing a chunk (re-arms its lease)."""
-
+class ChunkStarted(NamedTuple):  # a worker began a chunk
     chunk_id: int
-    worker: str = ""
+    worker: object = ""
 
 
-@dataclass(frozen=True)
-class TaskDone:
-    """One task of a chunk finished (ok or exhausted); carries the outcome.
-
-    ``worker`` names the executing worker when the backend knows it
-    (``"inline"`` or a pool worker id) — live telemetry
-    attribution only, never scheduling state.
-    """
-
+class TaskDone(NamedTuple):      # one task finished, ok or exhausted
     chunk_id: int
     outcome: _TaskOutcome = None
-    worker: str = ""
+    worker: object = ""
 
 
-@dataclass(frozen=True)
-class ChunkDone:
-    """Every task of the chunk has been reported."""
-
+class ChunkDone(NamedTuple):     # every task reported; the worker is idle
     chunk_id: int
+    worker: object = ""
 
 
-@dataclass(frozen=True)
-class WorkerLost:
-    """A worker died (``crash``: its process exited or its pipe hit
-    EOF); its chunks need requeueing onto a survivor."""
-
-    worker: str
-    chunk_ids: tuple = ()
-    reason: str = "crash"
-
-
-@dataclass(frozen=True)
-class WorkerRespawned:
-    """A replacement worker came up after a loss;
-    ``replaced`` names the worker it stands in for."""
-
-    worker: str
-    replaced: str = ""
-
-
-@dataclass(frozen=True)
-class RespawnFailed:
-    """A scheduled replacement worker failed to come up (chaos
-    ``respawn-fail`` or a real spawn error); the respawn budget was
-    still consumed."""
-
-    replaced: str = ""
-    ordinal: int = 0
+class WorkerExited(NamedTuple):  # after every message the worker sent
+    worker: object
 
 
 class Executor:
-    """Protocol all backends implement; see the module docstring.
+    """Protocol all adapters implement; see the module docstring.
 
     Constructed with the sweep-constant context (``fn``, ``policy``,
-    ``chaos``, ``jobs``) so ``submit_chunk`` carries only
-    the varying part: a chunk id and its entries.
+    ``chaos``, ``jobs``).  ``workers()`` lists the live worker ids in
+    spawn order; ``send(worker, chunk_id, entries)`` hands one chunk of
+    ``(index, base_attempt, item)`` entries to an idle worker;
+    ``poll(timeout_s)`` waits up to ``timeout_s`` and returns the new
+    events; ``kill(worker)`` stops a worker at once (no event follows);
+    the pool's ``spawn()`` starts one more worker and returns its id,
+    raising ``OSError`` when it cannot; ``shutdown(kill=False)``
+    releases every worker (``kill`` without waiting).  Adapters make no
+    scheduling decision — which chunk goes where, leases, requeues and
+    respawns are the scheduler core's.
     """
 
     name = "base"
-    #: Whether a cancelled/lost chunk can be resubmitted to a surviving
-    #: worker (the pool) or the backend only supports terminal
-    #: cancellation (inline: an expired lease fails the chunk's
-    #: unfinished tasks).
-    supports_requeue = False
 
     def __init__(self, *, fn, policy, chaos, jobs=1):
         self._fn = fn
         self._policy = policy
         self._chaos = chaos
         self._jobs = max(1, jobs)
-
-    def submit_chunk(self, chunk_id: int, entries: Sequence) -> None:
-        """Queue one chunk of ``(index, base_attempt, item)`` entries."""
-        raise NotImplementedError
-
-    def poll(self, timeout_s: float | None = None) -> list:
-        """Advance the backend and return newly available events."""
-        raise NotImplementedError
-
-    def cancel(self, chunk_id: int) -> bool:
-        """Stop tracking (and best-effort stop running) one chunk.
-
-        True when the backend knew the chunk; after cancellation no
-        further events for it are delivered.
-        """
-        raise NotImplementedError
-
-    def cancel_pending(self, chunk_id: int) -> bool:
-        """Cancel one chunk *only if it has not started executing*.
-
-        Used by the drain path (SIGTERM): started chunks are left to
-        finish and commit, unstarted ones are withdrawn so the process
-        can exit early with a resumable checkpoint.  True when the
-        chunk was withdrawn; False when it is already running (or
-        unknown) and will still report events.
-        """
-        return False
 
     def heartbeat(self) -> dict:
         """Live-worker health, keyed by worker id (a string).
@@ -372,7 +307,7 @@ class Executor:
         with ``worker`` (the same id), ``age_s`` (seconds since the
         worker's last message, monotonic clock; ``0.0`` for the
         in-process worker), and ``inflight_chunk`` (the chunk id
-        currently placed on the worker, or ``None`` when idle).
+        currently sent to the worker, or ``None`` when idle).
         Backends may add keys — the pool adds ``tasks_done``, the task
         results received for the current chunk.  Observation-only: the
         scheduler never reads this; it feeds ``LiveStats`` and the
@@ -380,82 +315,61 @@ class Executor:
         """
         return {}
 
-    def shutdown(self, kill: bool = False) -> None:
-        """Release workers; ``kill`` terminates them without waiting."""
-        raise NotImplementedError
-
 
 # ---------------------------------------------------------------------
 class InlineExecutor(Executor):
     """Serial in-process execution, one task per :meth:`poll`.
 
-    Advancing a single task per poll is what preserves the old serial
+    Advancing a single task per poll is what preserves the serial
     path's semantics: the scheduler absorbs (checkpoints, fail-fasts)
-    between tasks, so an abort stops mid-chunk.  Chaos worker-kills are
-    skipped (``in_worker=False``) — killing the controller process is
-    never useful — which is exactly what lets a degraded run complete
-    under any chaos policy.
+    between tasks, so an abort stops mid-chunk.  Its one worker is
+    named ``inline``.  Chaos worker-kills are skipped
+    (``in_worker=False``) — killing the controller process is never
+    useful — which is exactly what lets a degraded run complete under
+    any chaos policy.
     """
 
     name = "inline"
-    supports_requeue = False
 
     def __init__(self, **context):
         super().__init__(**context)
-        self._queue: deque = deque()
         self._current = None  # [chunk_id, entries, next_pos]
 
-    def submit_chunk(self, chunk_id: int, entries: Sequence) -> None:
-        self._queue.append((chunk_id, list(entries)))
+    def workers(self) -> list:
+        return [self.name]
+
+    def send(self, worker, chunk_id: int, entries: Sequence) -> None:
+        self._current = [chunk_id, list(entries), 0]
 
     def poll(self, timeout_s: float | None = None) -> list:
-        events: list = []
         if self._current is None:
-            if not self._queue:
-                return events
-            chunk_id, entries = self._queue.popleft()
-            self._current = [chunk_id, entries, 0]
-            events.append(ChunkStarted(chunk_id, worker="inline"))
+            return []
         chunk_id, entries, pos = self._current
+        events: list = []
+        if pos == 0:
+            events.append(ChunkStarted(chunk_id, worker=self.name))
         index, base, item = entries[pos]
         outcome = _attempt_task(
             self._fn, item, index, base, self._policy, self._chaos,
             in_worker=False,
         )
-        events.append(TaskDone(chunk_id, outcome, worker="inline"))
+        events.append(TaskDone(chunk_id, outcome, worker=self.name))
         if pos + 1 >= len(entries):
-            events.append(ChunkDone(chunk_id))
+            events.append(ChunkDone(chunk_id, worker=self.name))
             self._current = None
         else:
             self._current[2] = pos + 1
         return events
 
-    def cancel(self, chunk_id: int) -> bool:
-        if self._current is not None and self._current[0] == chunk_id:
-            self._current = None
-            return True
-        for queued in list(self._queue):
-            if queued[0] == chunk_id:
-                self._queue.remove(queued)
-                return True
-        return False
-
-    def cancel_pending(self, chunk_id: int) -> bool:
-        if self._current is not None and self._current[0] == chunk_id:
-            return False  # mid-chunk: let it finish
-        for queued in list(self._queue):
-            if queued[0] == chunk_id:
-                self._queue.remove(queued)
-                return True
-        return False
+    def kill(self, worker) -> None:
+        self._current = None
 
     def heartbeat(self) -> dict:
         inflight = self._current[0] if self._current is not None else None
-        return {"inline": {"worker": "inline", "age_s": 0.0,
-                           "inflight_chunk": inflight}}
+        return {self.name: {"worker": self.name, "age_s": 0.0,
+                            "inflight_chunk": inflight}}
 
     def shutdown(self, kill: bool = False) -> None:
-        self._queue.clear()
         self._current = None
 
 
@@ -522,7 +436,7 @@ class _Worker:
     proc: multiprocessing.process.BaseProcess
     conn: object                 # controller end of the worker's pipe
     last_seen: float             # monotonic time of its last message
-    chunk: int | None = None     # chunk placed on it, None when idle
+    chunk: int | None = None     # chunk sent to it, None when idle
     tasks_done: int = 0          # task messages for that chunk
 
 
@@ -531,25 +445,15 @@ class PoolExecutor(Executor):
 
     The controller is single-threaded: :meth:`poll` waits on every
     worker's pipe and process sentinel at once
-    (:func:`multiprocessing.connection.wait`), turns messages into
-    events, and places queued chunks on idle workers.  A worker that
-    dies (sentinel, or EOF on its pipe) is reported as a
-    :class:`WorkerLost` after every message it sent before dying, so
-    its committed tasks stay committed and the scheduler requeues the
-    chunk onto a survivor.  Within ``TaskPolicy.max_respawns`` a lost
-    or cancelled worker is replaced after ``respawn_backoff_s`` (fresh
-    worker id, forked from the controller), so the sweep recovers full
-    capacity instead of only shrinking.  When no worker is left and the
-    respawn budget is spent the executor raises
-    :class:`~repro.common.errors.ExecutorBrokenError` so the scheduler
-    degrades to ``inline``.
-
-    A worker that is alive but stuck sends nothing; the chunk lease
-    catches it and :meth:`cancel` kills it.
+    (:func:`multiprocessing.connection.wait`) and turns messages into
+    events.  A worker that dies (sentinel, or EOF on its pipe) is
+    reported as a :class:`WorkerExited` after every message it sent
+    before dying, so its committed tasks stay committed.  A worker that
+    is alive but stuck sends nothing; the scheduler's lease catches it
+    and :meth:`kill` ends it.
     """
 
     name = "local"
-    supports_requeue = True
 
     def __init__(self, **context):
         super().__init__(**context)
@@ -558,16 +462,14 @@ class PoolExecutor(Executor):
         # re-factorize thermal models the controller already built.
         self._ctx = multiprocessing.get_context("fork")
         self._workers: dict[int, _Worker] = {}
-        self._queue: deque = deque()  # (chunk_id, entries)
         self._next_worker_id = 0
-        self._respawns_used = 0
-        self._pending_spawns: list = []  # (due monotonic, replaced id)
-        self._pending_events: list = []  # RespawnFailed queued for poll
         for _ in range(self._jobs):
-            self._spawn_worker()
+            self.spawn()
 
-    # -- worker lifecycle ----------------------------------------------
-    def _spawn_worker(self) -> int:
+    def workers(self) -> list:
+        return sorted(self._workers)
+
+    def spawn(self) -> int:
         worker_id = self._next_worker_id
         self._next_worker_id += 1
         conn, child_conn = self._ctx.Pipe()
@@ -587,54 +489,38 @@ class PoolExecutor(Executor):
         )
         return worker_id
 
-    def _retire(self, worker: _Worker) -> None:
+    def kill(self, worker) -> None:
         """Forget one worker and make sure its process is gone."""
-        self._workers.pop(worker.id, None)
-        worker.conn.close()
-        worker.proc.kill()
-        worker.proc.join(timeout=1.0)
-
-    def _schedule_respawn(self, replaced: int) -> None:
-        """Book a replacement for a lost worker, if budget remains.
-
-        The budget is consumed at scheduling time, so a chaos-vetoed
-        respawn (``respawn-fail``) costs an attempt exactly like a real
-        spawn failure would.
-        """
-        if self._respawns_used >= self._policy.max_respawns:
+        record = self._workers.pop(worker, None)
+        if record is None:
             return
-        ordinal = self._respawns_used
-        self._respawns_used += 1
-        if self._chaos is not None and self._chaos.fails_respawn(ordinal):
-            self._pending_events.append(
-                RespawnFailed(replaced=str(replaced), ordinal=ordinal))
-            return
-        due = time.monotonic() + self._policy.respawn_backoff_s
-        self._pending_spawns.append((due, replaced))
+        record.conn.close()
+        record.proc.kill()
+        record.proc.join(timeout=1.0)
 
-    def _spawn_due_replacements(self, events: list) -> None:
-        now = time.monotonic()
-        for entry in [e for e in self._pending_spawns if e[0] <= now]:
-            self._pending_spawns.remove(entry)
-            _due, replaced = entry
-            try:
-                worker_id = self._spawn_worker()
-            except OSError:
-                events.append(RespawnFailed(
-                    replaced=str(replaced),
-                    ordinal=self._respawns_used - 1))
-                continue
-            events.append(WorkerRespawned(worker=str(worker_id),
-                                          replaced=str(replaced)))
+    def send(self, worker, chunk_id: int, entries: Sequence) -> None:
+        record = self._workers[worker]
+        try:
+            record.conn.send((chunk_id, list(entries)))
+        except OSError:
+            # The worker is dead; its sentinel reports the loss on the
+            # next poll, with this chunk placed on it.
+            pass
+        record.chunk = chunk_id
+        record.tasks_done = 0
 
-    def _lose(self, worker: _Worker, events: list) -> None:
-        self._retire(worker)
-        chunk_ids = () if worker.chunk is None else (worker.chunk,)
-        events.append(WorkerLost(worker=str(worker.id), chunk_ids=chunk_ids,
-                                 reason="crash"))
-        self._schedule_respawn(worker.id)
+    def poll(self, timeout_s: float | None = None) -> list:
+        handles = {}
+        for worker in self._workers.values():
+            handles[worker.conn] = worker
+            handles[worker.proc.sentinel] = worker
+        ready = {handles[h].id: handles[h]
+                 for h in mp_connection.wait(list(handles), timeout_s)}
+        events: list = []
+        for worker_id in sorted(ready):
+            self._read(ready[worker_id], events)
+        return events
 
-    # -- message flow --------------------------------------------------
     def _read(self, worker: _Worker, events: list) -> None:
         """Turn every message waiting on ``worker``'s pipe into events.
 
@@ -649,95 +535,21 @@ class PoolExecutor(Executor):
         except (EOFError, OSError):
             alive = False
         if not alive:
-            self._lose(worker, events)
+            self.kill(worker.id)
+            events.append(WorkerExited(worker.id))
 
     def _handle(self, worker: _Worker, message: tuple, events: list) -> None:
         worker.last_seen = time.monotonic()
         kind, chunk_id = message[0], message[1]
         if kind == "started":
-            events.append(ChunkStarted(chunk_id, worker=str(worker.id)))
+            events.append(ChunkStarted(chunk_id, worker=worker.id))
         elif kind == "task":
             worker.tasks_done += 1
-            events.append(TaskDone(chunk_id, message[2],
-                                   worker=str(worker.id)))
+            events.append(TaskDone(chunk_id, message[2], worker=worker.id))
         elif kind == "done":
             worker.chunk = None
             worker.tasks_done = 0
-            events.append(ChunkDone(chunk_id))
-
-    def _dispatch(self, events: list) -> None:
-        for worker in sorted(self._workers.values(), key=lambda w: w.id):
-            if not self._queue:
-                return
-            if worker.chunk is not None:
-                continue
-            chunk_id, entries = self._queue.popleft()
-            try:
-                worker.conn.send((chunk_id, entries))
-            except OSError:
-                self._queue.appendleft((chunk_id, entries))
-                self._lose(worker, events)
-                continue
-            worker.chunk = chunk_id
-            worker.tasks_done = 0
-
-    def _check_capacity(self) -> None:
-        if self._queue and not self._workers and not self._pending_spawns:
-            raise ExecutorBrokenError(
-                "local pool lost every worker", backend=self.name
-            )
-
-    # -- Executor protocol ---------------------------------------------
-    def submit_chunk(self, chunk_id: int, entries: Sequence) -> None:
-        self._queue.append((chunk_id, list(entries)))
-
-    def poll(self, timeout_s: float | None = None) -> list:
-        events: list = list(self._pending_events)
-        self._pending_events.clear()
-        self._spawn_due_replacements(events)
-        self._dispatch(events)
-        if not events and (self._workers or self._pending_spawns):
-            if self._pending_spawns:
-                due = min(d for d, _ in self._pending_spawns)
-                until = max(0.0, due - time.monotonic())
-                timeout_s = until if timeout_s is None \
-                    else min(timeout_s, until)
-            handles = {}
-            for worker in self._workers.values():
-                handles[worker.conn] = worker
-                handles[worker.proc.sentinel] = worker
-            ready = {handles[h].id: handles[h]
-                     for h in mp_connection.wait(list(handles), timeout_s)}
-            for worker_id in sorted(ready):
-                if worker_id in self._workers:
-                    self._read(ready[worker_id], events)
-            self._dispatch(events)
-        if not events:
-            # Only declare the pool dead on a quiet poll: pending events
-            # (WorkerLost in particular) must reach the scheduler first
-            # so it can requeue and attribute the losses.
-            self._check_capacity()
-        return events
-
-    def cancel(self, chunk_id: int) -> bool:
-        if self.cancel_pending(chunk_id):
-            return True
-        for worker in list(self._workers.values()):
-            if worker.chunk == chunk_id:
-                # The worker is hung on this chunk: kill it (scheduler-
-                # initiated, so no WorkerLost event) and let the requeue
-                # land on a survivor or a replacement.
-                self._retire(worker)
-                self._schedule_respawn(worker.id)
-                return True
-        return False
-
-    def cancel_pending(self, chunk_id: int) -> bool:
-        for queued in list(self._queue):
-            if queued[0] == chunk_id:
-                self._queue.remove(queued)
-                return True
-        return False
+            events.append(ChunkDone(chunk_id, worker=worker.id))
 
     def heartbeat(self) -> dict:
         now = time.monotonic()
@@ -759,10 +571,7 @@ class PoolExecutor(Executor):
             for worker in workers:
                 worker.proc.join(timeout=1.0)
         for worker in workers:
-            self._retire(worker)
-        self._queue.clear()
-        self._pending_spawns.clear()
-        self._pending_events.clear()
+            self.kill(worker.id)
 
 
 # ---------------------------------------------------------------------
@@ -776,6 +585,15 @@ _EXECUTORS = {
 _DEFAULT_EXECUTOR: str | None = None
 
 
+def _known(name: str) -> str:
+    if name not in _EXECUTORS:
+        raise ConfigError(
+            f"unknown executor {name!r} (expected one of "
+            f"{sorted(_EXECUTORS)})"
+        )
+    return name
+
+
 def set_default_executor(name: str | None) -> None:
     """Set the process-wide backend (the CLI's ``--executor``).
 
@@ -783,12 +601,7 @@ def set_default_executor(name: str | None) -> None:
     selection.
     """
     global _DEFAULT_EXECUTOR
-    if name is not None and name not in _EXECUTORS:
-        raise ConfigError(
-            f"unknown executor {name!r} (expected one of "
-            f"{sorted(_EXECUTORS)})"
-        )
-    _DEFAULT_EXECUTOR = name
+    _DEFAULT_EXECUTOR = None if name is None else _known(name)
 
 
 def resolve_executor(executor: str | None = None,
@@ -798,25 +611,13 @@ def resolve_executor(executor: str | None = None,
     ``local`` otherwise."""
     name = executor or _DEFAULT_EXECUTOR
     if name is None:
-        raw = os.environ.get(EXECUTOR_ENV_VAR, "").strip().lower()
-        name = raw or None
+        name = os.environ.get(EXECUTOR_ENV_VAR, "").strip().lower() or None
     if name is None:
         return "inline" if (jobs or 1) <= 1 else "local"
-    if name not in _EXECUTORS:
-        raise ConfigError(
-            f"unknown executor {name!r} (expected one of "
-            f"{sorted(_EXECUTORS)})"
-        )
-    return name
+    return _known(name)
 
 
 def make_executor(name: str, *, fn, policy, chaos, jobs=1) -> Executor:
     """Instantiate the named backend with the sweep-constant context."""
-    try:
-        cls = _EXECUTORS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown executor {name!r} (expected one of "
-            f"{sorted(_EXECUTORS)})"
-        ) from None
-    return cls(fn=fn, policy=policy, chaos=chaos, jobs=jobs)
+    return _EXECUTORS[_known(name)](fn=fn, policy=policy, chaos=chaos,
+                                    jobs=jobs)

@@ -21,8 +21,9 @@ to additionally ``os.fsync`` per line — durable through power loss, at
 a per-event syscall cost.
 
 The *run manifest* is the auditable summary written next to results:
-run id, git SHA, command, seed/window/jobs, a configuration hash, and
-the run's merged metric snapshot plus per-sweep snapshots.  Everything
+run id, git SHA, source fingerprint, command, seed/window/jobs, a
+configuration hash, and the run's merged metric snapshot plus per-sweep
+snapshots.  Everything
 in ``manifest["metrics"]`` comes from deterministic counters, so two
 manifests from the same sweep at different worker counts are
 bit-identical there — the cross-process audit the paper-reproduction
@@ -50,6 +51,7 @@ __all__ = [
     "write",
     "emit",
     "git_sha",
+    "source_fingerprint",
     "config_hash",
     "build_manifest",
     "write_manifest",
@@ -61,6 +63,7 @@ _RUN_SEQ = itertools.count(1)
 _CURRENT_RUN_ID: str | None = None
 _SINK: "EventSink | None" = None
 _GIT_SHA: str | None | bool = False  # False = not yet probed
+_SOURCE_FINGERPRINT: str | None = None
 
 
 def begin_run(command: str | None = None, run_id: str | None = None) -> str:
@@ -164,6 +167,23 @@ def git_sha() -> str | None:
     return _GIT_SHA
 
 
+def source_fingerprint() -> str:
+    """A short hash of every ``.py`` file of the ``repro`` package —
+    unlike :func:`git_sha`, it sees uncommitted edits.  Checkpoints stamp
+    it on every record, so a resume after a code change is refused."""
+    global _SOURCE_FINGERPRINT
+    if _SOURCE_FINGERPRINT is None:
+        root = Path(__file__).resolve().parents[1]
+        digest = hashlib.sha256()
+        for path in sorted(root.rglob("*.py")):
+            digest.update(path.relative_to(root).as_posix().encode())
+            digest.update(b"\0")
+            digest.update(path.read_bytes())
+            digest.update(b"\0")
+        _SOURCE_FINGERPRINT = digest.hexdigest()[:16]
+    return _SOURCE_FINGERPRINT
+
+
 def config_hash(payload) -> str:
     """A short stable hash of a JSON-serialisable configuration."""
     canonical = json.dumps(payload, sort_keys=True, default=str)
@@ -194,6 +214,7 @@ def build_manifest(
         "run_id": run_id or current_run_id(),
         "created_unix": round(time.time(), 3),
         "git_sha": git_sha(),
+        "source_fingerprint": source_fingerprint(),
         "command": command,
         "seed": seed,
         "window": window,

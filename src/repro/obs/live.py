@@ -734,6 +734,11 @@ def fold_event(stats: LiveStats | None, record: dict,
     elif kind == "chunk_started":
         if worker:
             stats._worker(worker).inflight_chunk = record.get("chunk_id")
+    elif kind == "chunk_done":
+        health = stats.workers.get(worker)
+        if health is not None \
+                and health.inflight_chunk == record.get("chunk_id"):
+            health.inflight_chunk = None
     elif kind == "worker_lost":
         if worker:
             health = stats._worker(worker)

@@ -491,6 +491,24 @@ class TestCheckpointResume:
         for i in (2, 3, 4, 5):                        # re-executed
             assert (tmp_path / f"calls-{i}").read_text() == "x"
 
+    def test_resume_after_a_source_change_is_refused(self, tmp_path,
+                                                     monkeypatch):
+        checkpoint_mod.set_checkpoint_dir(tmp_path / "ck")
+        run_id = events.begin_run("ckpt-source")
+        items = [(i, str(tmp_path / f"calls-{i}")) for i in range(4)]
+        run_sweep(_record_call, items, jobs=1, chunksize=2, label="src")
+        written = events.source_fingerprint()
+        ckpt_file = tmp_path / "ck" / run_id / "src.jsonl"
+        assert all(json.loads(line)["source"] == written
+                   for line in ckpt_file.read_text().splitlines())
+        monkeypatch.setattr(events, "source_fingerprint",
+                            lambda: "0123456789abcdef")
+        with pytest.raises(ConfigError) as excinfo:
+            run_sweep(_record_call, items, jobs=1, chunksize=2, label="src")
+        message = str(excinfo.value)
+        assert written in message and "0123456789abcdef" in message
+        assert str(tmp_path / "ck" / run_id) in message
+
     def test_aborted_sweep_leaves_resumable_checkpoint(self, tmp_path):
         checkpoint_mod.set_checkpoint_dir(tmp_path / "ck")
         events.begin_run("ckpt-abort")

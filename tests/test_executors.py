@@ -261,7 +261,7 @@ class TestHeartbeatSchema:
                            chaos=None)
         assert _schema_ok(ex.heartbeat())
         assert ex.heartbeat()["inline"]["inflight_chunk"] is None
-        ex.submit_chunk(7, [(0, 0, 1), (1, 0, 2)])
+        ex.send("inline", 7, [(0, 0, 1), (1, 0, 2)])
         ex.poll()       # one task per poll: the chunk is now current
         assert _schema_ok(ex.heartbeat())
         assert ex.heartbeat()["inline"]["inflight_chunk"] == 7
@@ -279,7 +279,7 @@ class TestHeartbeatSchema:
             assert _schema_ok(heartbeat)
             assert all(info["inflight_chunk"] is None
                        for info in heartbeat.values())
-            ex.submit_chunk(0, [(0, 0, 1), (1, 0, 2)])
+            ex.send(0, 0, [(0, 0, 1), (1, 0, 2)])
             deadline = time.monotonic() + 15.0
             seen_inflight = None
             events_: list = []

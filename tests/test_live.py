@@ -285,6 +285,37 @@ class TestCountsAgree:
         assert timing.retries > 0
         if backend == "local":
             assert timing.lost_workers > 0 and timing.duplicate_results > 0
+        self._assert_agree(sink, timing)
+
+    @pytest.mark.parametrize("chaos,policy,counter", [
+        # Hung workers surface only through their chunk lease.
+        (ChaosPolicy(hang_p=0.3, hang_s=60.0, seed=1),
+         TaskPolicy(timeout_s=0.3, respawn_backoff_s=0.0),
+         "lease_expiries"),
+        (ChaosPolicy(kill_p=0.5, respawn_fail_p=0.5, seed=2),
+         TaskPolicy(max_retries=2, respawn_backoff_s=0.0),
+         "respawn_failures"),
+    ], ids=["worker-hang", "respawn-fail"])
+    def test_three_counts_agree_under_supervision_chaos(
+            self, tmp_path, chaos, policy, counter):
+        live_mod.add_listener(_noop_listener)
+        sink = tmp_path / "events.jsonl"
+        events.set_sink(sink)
+        try:
+            results, timing = run_sweep(
+                _bump_live, list(range(8)), jobs=2, chunksize=2,
+                label=f"agree-{counter}", executor="local", chaos=chaos,
+                policy=policy,
+            )
+        finally:
+            events.set_sink(None)
+        assert results == [x + 1 for x in range(8)]
+        assert getattr(timing, counter) > 0
+        assert timing.lost_workers > 0
+        self._assert_agree(sink, timing)
+
+    @staticmethod
+    def _assert_agree(sink, timing):
         live_row = live_mod.current().as_row()
         replayed = None
         for record in EventFollower(sink).poll():

@@ -38,7 +38,9 @@ from repro.experiments.chaos import ChaosPolicy
 from repro.experiments.engine import TaskPolicy, run_sweep
 from repro.experiments.executors import _TaskOutcome, set_default_executor
 from repro.experiments.report import render_partial_report
-from repro.obs import metrics
+from repro.obs import events, metrics
+from repro.obs import live as live_mod
+from repro.obs.live import EventFollower, fold_event
 
 
 @pytest.fixture(autouse=True)
@@ -80,6 +82,10 @@ def _poison(x):
             and multiprocessing.current_process().name != "MainProcess":
         os._exit(21)
     return x * 2
+
+
+def _noop_listener(kind, stats):
+    pass
 
 
 def _drain_then_double(x):
@@ -170,22 +176,44 @@ class TestRespawn:
 
 # ---------------------------------------------------------------------
 class TestWorkerHang:
-    def test_hung_worker_recovered_by_lease(self):
+    def test_hung_worker_recovered_by_lease(self, tmp_path):
         # The hung worker stays alive, so only the chunk lease can catch
         # it; the hung worker is killed, the chunk requeues with
         # the hang attributed (the rerun is injection-free), and a
         # replacement restores capacity.
         clean, _ = run_sweep(_double, [1, 2, 3, 4], jobs=1, record=False)
-        got, timing = run_sweep(
-            _double, [1, 2, 3, 4], jobs=2, chunksize=2,
-            executor="local", record=False,
-            chaos=ChaosPolicy(hang_p=1.0, hang_s=60.0),
-            policy=TaskPolicy(timeout_s=0.3, respawn_backoff_s=0.0),
-        )
+        live_mod.add_listener(_noop_listener)
+        sink = tmp_path / "events.jsonl"
+        events.set_sink(sink)
+        try:
+            got, timing = run_sweep(
+                _double, [1, 2, 3, 4], jobs=2, chunksize=2,
+                executor="local", record=False,
+                chaos=ChaosPolicy(hang_p=1.0, hang_s=60.0),
+                policy=TaskPolicy(timeout_s=0.3, respawn_backoff_s=0.0),
+            )
+        finally:
+            events.set_sink(None)
+            live_mod.remove_listener(_noop_listener)
         assert got == clean
         assert timing.lease_expiries >= 1
         assert timing.failures == 0
         assert timing.timeouts == 0
+        # A worker the lease kills is a lost worker, and a finished
+        # chunk leaves its worker idle — in the in-process stats and in
+        # a replay of the sink alike.
+        assert timing.lease_expiries == timing.respawns == 2
+        assert timing.lost_workers == 2
+        replayed = None
+        for record in EventFollower(sink).poll():
+            replayed = fold_event(replayed, record)
+        for stats in (live_mod.current(), replayed):
+            assert stats.finished and stats.lost_workers == 2
+            workers = stats.workers
+            assert sorted(workers) == ["0", "1", "2", "3"]
+            assert workers["0"].lost == workers["1"].lost == "lease"
+            assert not workers["2"].lost and not workers["3"].lost
+            assert all(h.inflight_chunk is None for h in workers.values())
 
 
 # ---------------------------------------------------------------------
